@@ -911,9 +911,11 @@ pub fn run_parallel_slice_from(
 
 /// Fold one borrowed record into `report`: parse its DER into a
 /// [`CertView`] and run the view kernel. The parse uses the default
-/// [`ParseBudget`] — the same budget the store's segment decoder already
-/// validated every record against — so for records from a validated
-/// segment the parse cannot fail.
+/// [`ParseBudget`] — the same parse, under the same budget, that the
+/// store's full segment validator runs as its "every record parses"
+/// proof. The store's incremental survey relies on that: it skips the
+/// validator's parse and lets this one serve as the proof (see
+/// `unicert_store::resume`).
 fn accumulate_record(
     report: &mut SurveyReport,
     registry: &unicert_lint::Registry,
@@ -929,10 +931,12 @@ fn accumulate_record(
             accumulate_view(report, registry, index, &view, &entry.meta, opts, telemetry);
         }
         Err(e) => {
-            // Unreachable for records out of a validated segment (decoding
-            // already proved each one parses); quarantine instead of
-            // panicking so a caller feeding unvalidated records degrades
-            // to one skipped certificate.
+            // A record that does not parse is quarantined at stage
+            // "parse" instead of panicking, so a caller feeding
+            // unvalidated records degrades to one skipped certificate. The
+            // store's incremental survey reads such an entry as the parse
+            // proof failing: it discards this report and classifies the
+            // shard through its full segment validator.
             unicert_telemetry::flight::begin_unit(index);
             report.entries += 1;
             push_quarantine(

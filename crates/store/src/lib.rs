@@ -47,7 +47,14 @@ pub use store::{CorpusStore, ShardHealth};
 /// `SurveyReport::fingerprint` uses, so one hash scheme covers both report
 /// fingerprints and store artifacts.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a 64 hash over more bytes:
+/// `fnv64_extend(fnv64(a), b) == fnv64(a ++ b)`. A segment's whole-file
+/// fingerprint is its body hash extended over the 8-byte trailer, so the
+/// body is hashed once for both checks.
+pub fn fnv64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x100_0000_01b3);
@@ -159,8 +166,13 @@ pub fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()>
 
 /// Escape a string for the store's line/tab-framed text artifacts:
 /// backslash, tab, newline, and carriage return become two-character
-/// escapes, so escaped fields never break line or column framing.
-pub fn escape(s: &str) -> String {
+/// escapes, so escaped fields never break line or column framing. A
+/// string with nothing to escape (the common case) is borrowed, not
+/// copied.
+pub fn escape(s: &str) -> std::borrow::Cow<'_, str> {
+    if !s.bytes().any(|b| matches!(b, b'\\' | b'\t' | b'\n' | b'\r')) {
+        return std::borrow::Cow::Borrowed(s);
+    }
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -171,7 +183,7 @@ pub fn escape(s: &str) -> String {
             _ => out.push(c),
         }
     }
-    out
+    std::borrow::Cow::Owned(out)
 }
 
 /// Reverse [`escape`]. Returns `None` on a dangling or unknown escape —
@@ -205,6 +217,17 @@ mod tests {
         // rendering with fnv64 must equal SurveyReport::fingerprint.
         let report = unicert::survey::SurveyReport::default();
         assert_eq!(fnv64(format!("{report:?}").as_bytes()), report.fingerprint());
+    }
+
+    #[test]
+    fn fnv_extend_continues_the_hash() {
+        let data = b"unicert-store segment v1\n\x00\x01\xff tail";
+        for split in 0..=data.len() {
+            let (a, b) = data.split_at(split);
+            assert_eq!(fnv64_extend(fnv64(a), b), fnv64(data), "split at {split}");
+        }
+        assert_eq!(fnv64_extend(fnv64(b""), b""), fnv64(b""));
+        assert_eq!(fnv64_extend(fnv64(data), b""), fnv64(data));
     }
 
     #[test]

@@ -6,13 +6,14 @@
 //! 1. tries the shard's checkpoint — if one exists and fully validates
 //!    (see `checkpoint.rs`), its report is reused and the shard's
 //!    certificates are never touched;
-//! 2. otherwise loads and verifies the segment, surveys its records
-//!    straight from the read buffer — [`run_parallel_records_from`] lints
-//!    each certificate through a zero-copy `CertView` of the borrowed DER,
-//!    no per-certificate copy — at the shard's global base index, and
-//!    commits a fresh checkpoint via [`crate::atomic_write`] *before*
-//!    moving on — so after a crash, every finished shard is either fully
-//!    committed or invisible;
+//! 2. otherwise reads the segment and surveys its records straight from
+//!    the read buffer —
+//!    [`run_parallel_records_from`](unicert::survey::run_parallel_records_from)
+//!    lints each certificate through a zero-copy `CertView` of the
+//!    borrowed DER, no per-certificate copy — at the shard's global base
+//!    index, and commits a fresh checkpoint via [`crate::atomic_write`]
+//!    *before* moving on — so after a crash, every finished shard is
+//!    either fully committed or invisible;
 //! 3. a shard whose segment fails verification is *quarantined at shard
 //!    granularity*: one `"store"`-stage [`QuarantineEntry`] records the
 //!    corruption class and how many certificates were skipped, and the
@@ -23,6 +24,20 @@
 //! not align with the survey's internal chunking (the shard-merge
 //! invariant, DESIGN.md §7) — a clean resumed run is **byte-identical**
 //! to a one-shot in-memory survey of the same corpus at any thread count.
+//!
+//! ## One parse per certificate
+//!
+//! Step 2 reads each new shard through `CorpusStore::survey_shard`, which
+//! parses each certificate once and hashes the segment once. The segment is
+//! checked for framing, metadata, record count and both fingerprints (one
+//! FNV pass over the body serves the trailer and the manifest check)
+//! without parsing any certificate. The survey's own budgeted `CertView`
+//! parse — the parse `CorpusStore::with_shard_records` runs first as its
+//! "every record parses" proof — then serves as that proof. If the survey
+//! quarantined a record at stage `"parse"`, or the framing check failed,
+//! the report is discarded and the segment goes through the full validator,
+//! so step 3 sees exactly the [`crate::Corruption`] that
+//! `with_shard_records` reports for the same bytes.
 //!
 //! ## Crash injection
 //!
@@ -38,7 +53,7 @@ use crate::checkpoint::{checkpoint_path, decode_checkpoint, encode_checkpoint, o
 use crate::store::CorpusStore;
 use crate::{atomic_write, StoreError};
 use std::path::Path;
-use unicert::survey::{run_parallel_records_from, QuarantineEntry, SurveyOptions, SurveyReport};
+use unicert::survey::{QuarantineEntry, SurveyOptions, SurveyReport};
 
 /// Options for [`survey_incremental`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -138,9 +153,7 @@ pub fn survey_incremental(
                 }
                 ShardStatus::Resumed
             }
-            None => match store.with_shard_records(shard, |records| {
-                run_parallel_records_from(registry, records, opts.survey, shard.start)
-            }) {
+            None => match store.survey_shard(shard, registry, opts.survey) {
                 Ok(shard_report) => {
                     atomic_write(&ckpt, &encode_checkpoint(shard, &opts_key, &shard_report))?;
                     report.merge(shard_report);
@@ -287,6 +300,83 @@ mod tests {
         assert_eq!(again.corrupt, 1);
         assert_eq!(again.report, run.report);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn threads(n: usize) -> ResumeOptions {
+        ResumeOptions {
+            survey: SurveyOptions {
+                lint: unicert_lint::RunOptions { threads: Some(n), ..Default::default() },
+                ..SurveyOptions::default()
+            },
+            stop_after: None,
+        }
+    }
+
+    /// A record that no longer parses, in a segment whose trailer and
+    /// manifest fingerprint were computed over the damaged bytes, passes
+    /// every check but the per-record parse proof. The single-parse path
+    /// must catch it in the survey, fall back to the full validator, and
+    /// quarantine exactly that shard under the validator's classification
+    /// — also when a later record's metadata is malformed too, which the
+    /// framing check sees first but the full validator ranks after the
+    /// earlier record's parse failure.
+    #[test]
+    fn unparsable_record_quarantines_its_shard_via_the_full_validator() {
+        // Shard 1 holds global records 16..32; global 21 is its record 5
+        // and global 29 its record 13.
+        for malformed_meta in [None, Some(29)] {
+            let dir = scratch(&format!("unparsable-{malformed_meta:?}"));
+            let mut corpus = entries(60, 5);
+            let raw = &mut corpus[21].cert.raw;
+            raw.truncate(raw.len() / 2);
+            if let Some(j) = malformed_meta {
+                corpus[j].meta.issued.month = 13;
+            }
+            let store = CorpusStore::freeze(&dir.join("store"), &corpus, 16).unwrap();
+            let shards = &store.manifest().shards;
+            let validator = store.with_shard_records(&shards[1], |_| ()).unwrap_err();
+            assert_eq!(
+                validator.to_string(),
+                "fingerprint_mismatch: record 5: certificate does not parse (truncated)"
+            );
+
+            let registry = unicert_corpus::lint_registry();
+            let mut expected = SurveyReport::default();
+            for shard in shards {
+                if shard.index == 1 {
+                    expected.quarantine.push(QuarantineEntry {
+                        index: shard.start,
+                        cert_id: shard.file.clone(),
+                        stage: "store",
+                        detail: format!("{validator} (shard of 16 certificates skipped)"),
+                        flight: Vec::new(),
+                    });
+                    continue;
+                }
+                let lo = shard.start as usize;
+                expected.merge(unicert::survey::run_parallel_slice_from(
+                    registry,
+                    &corpus[lo..lo + shard.count],
+                    threads(1).survey,
+                    shard.start,
+                ));
+            }
+
+            for n in [1, 2] {
+                let ckpts = dir.join(format!("ckpts-{n}"));
+                let run = survey_incremental(&store, &ckpts, threads(n)).unwrap();
+                assert_eq!(run.corrupt, 1, "threads {n}");
+                assert_eq!(run.surveyed, 3, "threads {n}");
+                assert_eq!(run.shards[1].status, ShardStatus::Corrupt("fingerprint_mismatch"));
+                assert_eq!(run.report, expected, "threads {n}");
+                assert!(!checkpoint_path(&ckpts, 1).exists(), "threads {n}");
+                let again = survey_incremental(&store, &ckpts, threads(n)).unwrap();
+                assert_eq!((again.resumed, again.corrupt), (3, 1), "threads {n}");
+                assert_eq!(again.report, expected, "threads {n}");
+                assert!(!checkpoint_path(&ckpts, 1).exists(), "threads {n}");
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

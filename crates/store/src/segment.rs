@@ -27,7 +27,7 @@
 //! so persisting it would pin a generator detail into the format for
 //! nothing. A loaded entry carries `injected: None, latent: false`.
 
-use crate::{escape, fnv64, unescape, Corruption};
+use crate::{escape, fnv64, fnv64_extend, unescape, Corruption};
 use unicert_asn1::{DateTime, ParseBudget};
 use unicert_corpus::{CertMeta, CorpusEntry, RawEntry, TrustStatus};
 use unicert_x509::{CertView, Certificate};
@@ -45,9 +45,22 @@ pub fn segment_file_name(index: usize) -> String {
 }
 
 /// Encode one shard's entries into segment-file bytes (header, records,
-/// trailing fingerprint).
-pub fn encode_segment(index: usize, entries: &[CorpusEntry]) -> Vec<u8> {
-    let mut out = Vec::new();
+/// trailing fingerprint), returning the bytes with their whole-file
+/// fingerprint — the value the manifest records — so callers need not hash
+/// the segment again.
+///
+/// Records are written straight into one buffer sized up front: each
+/// metadata line is written in place behind a placeholder length prefix
+/// that is filled in afterwards, so no record allocates.
+pub fn encode_segment(index: usize, entries: &[CorpusEntry]) -> (Vec<u8>, u64) {
+    // Per record: two length prefixes, the DER, and a metadata line of at
+    // most twice the issuer (every byte escaped) plus at most 62 bytes of
+    // fixed columns; then index, count and trailer.
+    let records: usize = entries
+        .iter()
+        .map(|e| 8 + e.cert.raw.len() + 2 * e.meta.issuer_org.len() + 64)
+        .sum();
+    let mut out = Vec::with_capacity(SEGMENT_HEADER.len() + 16 + records); // analysis:allow(unbounded_alloc) bounds the encoding of in-memory entries being written, not parsed input
     out.extend_from_slice(SEGMENT_HEADER.as_bytes());
     out.extend_from_slice(&(index as u32).to_le_bytes());
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
@@ -55,13 +68,18 @@ pub fn encode_segment(index: usize, entries: &[CorpusEntry]) -> Vec<u8> {
         let der = &entry.cert.raw;
         out.extend_from_slice(&(der.len() as u32).to_le_bytes());
         out.extend_from_slice(der);
-        let meta = encode_meta(&entry.meta);
-        out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
-        out.extend_from_slice(meta.as_bytes());
+        let prefix_at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        write_meta(&mut out, &entry.meta);
+        let meta_len = (out.len() - prefix_at - 4) as u32;
+        if let Some(prefix) = out.get_mut(prefix_at..prefix_at + 4) {
+            prefix.copy_from_slice(&meta_len.to_le_bytes());
+        }
     }
-    let fp = fnv64(&out);
-    out.extend_from_slice(&fp.to_le_bytes());
-    out
+    let body_fp = fnv64(&out);
+    let trailer = body_fp.to_le_bytes();
+    out.extend_from_slice(&trailer);
+    (out, fnv64_extend(body_fp, &trailer))
 }
 
 /// Take the next `len` bytes, or `None` when the file runs out first.
@@ -110,9 +128,9 @@ pub fn decode_segment(
 ///
 /// The parse proof runs through [`CertView`], whose error values are
 /// byte-identical to the owned parser on the same input, so a segment
-/// classifies exactly the same through either decoder. This is the survey
-/// resume path's decoder: a shard is validated once, then linted straight
-/// out of its read buffer.
+/// classifies exactly the same through either decoder. This is the
+/// decoder of `CorpusStore::with_shard_records`, and the full validator
+/// the survey resume path falls back to when a record fails to parse.
 pub fn decode_segment_records<'a>(
     data: &'a [u8],
     expected_index: usize,
@@ -130,10 +148,31 @@ pub fn decode_segment_records<'a>(
     Ok(records.into_iter().map(|(der, meta)| RawEntry { der, meta }).collect())
 }
 
-/// The shared validation core of [`decode_segment`] and
-/// [`decode_segment_records`]: runs checks 1–6 in the fixed classification
-/// priority order, delegating only the per-record certificate proof to
-/// `parse_cert` so the owned and borrowed decoders cannot drift.
+/// [`decode_segment_records`] without the per-record parse proof: the
+/// framing, header, size, both fingerprints, record frames, metadata
+/// columns and shard index are all checked, but no certificate is parsed.
+///
+/// This is the first half of the single-parse resume path
+/// (`CorpusStore::survey_shard`): the survey's own budgeted parse of each
+/// record then serves as the proof, and a segment whose records do not
+/// all parse is re-classified through [`decode_segment_records`], so
+/// corruption classes and details come from one validator.
+pub(crate) fn decode_segment_frames<'a>(
+    data: &'a [u8],
+    expected_index: usize,
+    expected_bytes: Option<u64>,
+    expected_fingerprint: Option<u64>,
+) -> Result<Vec<RawEntry<'a>>, Corruption> {
+    let records =
+        decode_segment_with(data, expected_index, expected_bytes, expected_fingerprint, Ok)?;
+    Ok(records.into_iter().map(|(der, meta)| RawEntry { der, meta }).collect())
+}
+
+/// The shared validation core of [`decode_segment`],
+/// [`decode_segment_records`] and [`decode_segment_frames`]: runs checks
+/// 1–6 in the fixed classification priority order, delegating only the
+/// per-record certificate proof to `parse_cert` so the decoders cannot
+/// drift.
 fn decode_segment_with<'a, T>(
     data: &'a [u8],
     expected_index: usize,
@@ -182,9 +221,16 @@ fn decode_segment_with<'a, T>(
             )));
         }
     }
+    // Checks 4 and 5 share one pass over the body: its hash is the
+    // self-check, and extending it over the 8-byte trailer gives the
+    // whole-file fingerprint the manifest records.
+    let body_len = data.len() - 8;
+    let body = data.get(..body_len).unwrap_or_default();
+    let trailer = data.get(body_len..).unwrap_or_default();
+    let body_hash = fnv64(body);
     // 4. Whole-file fingerprint vs the manifest.
     if let Some(expected) = expected_fingerprint {
-        let actual = fnv64(data);
+        let actual = fnv64_extend(body_hash, trailer);
         if actual != expected {
             return Err(Corruption::FingerprintMismatch(format!(
                 "segment fingerprint {actual:016x} != manifest {expected:016x}"
@@ -193,18 +239,14 @@ fn decode_segment_with<'a, T>(
     }
     // 5. Self-validating trailer: FNV over everything before the last 8
     // bytes must equal those 8 bytes.
-    let body_len = data.len() - 8;
-    let body = data.get(..body_len).unwrap_or_default();
-    let trailer = data.get(body_len..).unwrap_or_default();
     let mut trailer_bytes = [0u8; 8];
     for (dst, src) in trailer_bytes.iter_mut().zip(trailer) {
         *dst = *src;
     }
     let stored = u64::from_le_bytes(trailer_bytes);
-    let actual = fnv64(body);
-    if stored != actual {
+    if stored != body_hash {
         return Err(Corruption::FingerprintMismatch(format!(
-            "segment self-check {actual:016x} != stored trailer {stored:016x}"
+            "segment self-check {body_hash:016x} != stored trailer {stored:016x}"
         )));
     }
     // 6. Record structure.
@@ -288,15 +330,8 @@ pub(crate) fn parse_trust(label: &str) -> Option<TrustStatus> {
     }
 }
 
-/// `YYYY-MM-DDTHH:MM:SS` — the metadata column form of a [`DateTime`].
-fn encode_datetime(dt: &DateTime) -> String {
-    format!(
-        "{:04}-{:02}-{:02}T{:02}:{:02}:{:02}",
-        dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second
-    )
-}
-
-/// Reverse of [`encode_datetime`], revalidating field ranges.
+/// Parse the `YYYY-MM-DDTHH:MM:SS` issued column [`write_meta`] writes,
+/// revalidating field ranges.
 fn parse_datetime(s: &str) -> Option<DateTime> {
     let (date, time) = s.split_once('T')?;
     let mut date_parts = date.splitn(3, '-');
@@ -310,20 +345,31 @@ fn parse_datetime(s: &str) -> Option<DateTime> {
     DateTime::new(year, month, day, hour, minute, second).ok()
 }
 
-/// Encode the survey-visible metadata columns as one tab-framed line.
-pub fn encode_meta(meta: &CertMeta) -> String {
-    format!(
-        "{}\t{}\t{}\t{}\t{}\t{}",
-        escape(&meta.issuer_org),
+/// Append the survey-visible metadata columns to `out` as one tab-framed
+/// line: escaped issuer, trust label, issued time as
+/// `YYYY-MM-DDTHH:MM:SS`, validity days, and the idn and precert flags.
+pub fn write_meta(out: &mut Vec<u8>, meta: &CertMeta) {
+    use std::io::Write;
+    let dt = &meta.issued;
+    out.extend_from_slice(escape(&meta.issuer_org).as_bytes());
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(
+        out,
+        "\t{}\t{:04}-{:02}-{:02}T{:02}:{:02}:{:02}\t{}\t{}\t{}",
         trust_label(meta.trust),
-        encode_datetime(&meta.issued),
+        dt.year,
+        dt.month,
+        dt.day,
+        dt.hour,
+        dt.minute,
+        dt.second,
         meta.validity_days,
         u8::from(meta.is_idn_cert),
         u8::from(meta.is_precert),
-    )
+    );
 }
 
-/// Reverse of [`encode_meta`]. The generator-only `injected`/`latent`
+/// Reverse of [`write_meta`]. The generator-only `injected`/`latent`
 /// fields come back as `None`/`false` (see the module docs).
 pub fn decode_meta(line: &str) -> Result<CertMeta, String> {
     let mut cols = line.split('\t');
@@ -386,8 +432,9 @@ mod tests {
     #[test]
     fn segment_round_trips() {
         let original = entries(20);
-        let bytes = encode_segment(3, &original);
-        let decoded = decode_segment(&bytes, 3, Some(bytes.len() as u64), Some(fnv64(&bytes)))
+        let (bytes, fingerprint) = encode_segment(3, &original);
+        assert_eq!(fingerprint, fnv64(&bytes));
+        let decoded = decode_segment(&bytes, 3, Some(bytes.len() as u64), Some(fingerprint))
             .unwrap();
         assert_eq!(decoded.len(), original.len());
         for (d, o) in decoded.iter().zip(&original) {
@@ -404,9 +451,36 @@ mod tests {
         }
     }
 
+    /// Decoding each committed clean vector segment and encoding it again
+    /// reproduces the file byte for byte, with the fingerprint the clean
+    /// manifest records: the encoder still writes the format the vectors
+    /// pin.
+    #[test]
+    fn committed_segments_re_encode_byte_identically() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/vectors/store/clean");
+        let manifest_bytes = std::fs::read(dir.join(crate::manifest::MANIFEST_FILE)).unwrap();
+        let manifest = crate::Manifest::parse(&manifest_bytes).unwrap();
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("shard-") && name.ends_with(".seg"))
+            .collect();
+        files.sort();
+        assert_eq!(files.len(), manifest.shards.len());
+        for file in &files {
+            let shard = manifest.shards.iter().find(|s| &s.file == file).unwrap();
+            let committed = std::fs::read(dir.join(file)).unwrap();
+            let decoded = decode_segment(&committed, shard.index, None, None).unwrap();
+            let (bytes, fingerprint) = encode_segment(shard.index, &decoded);
+            assert!(bytes == committed, "{file} re-encodes to different bytes");
+            assert_eq!(fingerprint, shard.fingerprint, "{file} fingerprint");
+        }
+    }
+
     #[test]
     fn truncation_classifies_as_torn_write() {
-        let bytes = encode_segment(0, &entries(8));
+        let (bytes, _) = encode_segment(0, &entries(8));
         let torn = &bytes[..bytes.len() / 2];
         let err = decode_segment(torn, 0, Some(bytes.len() as u64), None).unwrap_err();
         assert_eq!(err.class(), "torn_write");
@@ -414,7 +488,7 @@ mod tests {
 
     #[test]
     fn body_flip_classifies_as_fingerprint_mismatch() {
-        let mut bytes = encode_segment(0, &entries(8));
+        let (mut bytes, _) = encode_segment(0, &entries(8));
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         let err =
@@ -424,7 +498,7 @@ mod tests {
 
     #[test]
     fn header_digit_bump_classifies_as_version_skew() {
-        let mut bytes = encode_segment(0, &entries(4));
+        let (mut bytes, _) = encode_segment(0, &entries(4));
         let at = SEGMENT_HEADER.len() - 2; // the '1' in "v1\n"
         bytes[at] = b'7';
         let err = decode_segment(&bytes, 0, None, None).unwrap_err();
@@ -433,7 +507,7 @@ mod tests {
 
     #[test]
     fn wrong_shard_index_is_detected() {
-        let bytes = encode_segment(2, &entries(4));
+        let (bytes, _) = encode_segment(2, &entries(4));
         let err = decode_segment(&bytes, 5, None, None).unwrap_err();
         assert_eq!(err.class(), "fingerprint_mismatch");
         assert!(err.detail().contains("shard index 2"));
@@ -442,8 +516,9 @@ mod tests {
     #[test]
     fn meta_round_trips_unicode_issuers() {
         for entry in entries(40) {
-            let encoded = encode_meta(&entry.meta);
-            let decoded = decode_meta(&encoded).unwrap();
+            let mut encoded = Vec::new();
+            write_meta(&mut encoded, &entry.meta);
+            let decoded = decode_meta(std::str::from_utf8(&encoded).unwrap()).unwrap();
             assert_eq!(decoded.issuer_org, entry.meta.issuer_org);
             assert_eq!(decoded.trust, entry.meta.trust);
             assert_eq!(decoded.issued, entry.meta.issued);

@@ -2,10 +2,12 @@
 
 use crate::manifest::{Manifest, ShardInfo, MANIFEST_FILE};
 use crate::segment::{
-    decode_segment, decode_segment_records, encode_segment, peek_header, segment_file_name,
+    decode_segment, decode_segment_frames, decode_segment_records, encode_segment, peek_header,
+    segment_file_name,
 };
 use crate::{atomic_write, fnv64, Corruption, StoreError};
 use std::path::{Path, PathBuf};
+use unicert::survey::{run_parallel_records_from, SurveyOptions, SurveyReport};
 use unicert_corpus::{CorpusEntry, RawEntry};
 
 /// Per-shard result of [`CorpusStore::verify`].
@@ -61,7 +63,7 @@ impl CorpusStore {
         let mut shards = Vec::new();
         let mut start = 0u64;
         for (index, chunk) in entries.chunks(shard_size).enumerate() {
-            let bytes = encode_segment(index, chunk);
+            let (bytes, fingerprint) = encode_segment(index, chunk);
             let file = segment_file_name(index);
             atomic_write(&dir.join(&file), &bytes)?;
             shards.push(ShardInfo {
@@ -70,7 +72,7 @@ impl CorpusStore {
                 start,
                 count: chunk.len(),
                 bytes: bytes.len() as u64,
-                fingerprint: fnv64(&bytes),
+                fingerprint,
             });
             start += chunk.len() as u64;
         }
@@ -111,7 +113,7 @@ impl CorpusStore {
         let mut start = self.manifest.total;
         let first = self.manifest.shards.len();
         for (index, chunk) in (first..).zip(entries.chunks(shard_size)) {
-            let bytes = encode_segment(index, chunk);
+            let (bytes, fingerprint) = encode_segment(index, chunk);
             let file = segment_file_name(index);
             atomic_write(&self.dir.join(&file), &bytes)?;
             self.manifest.shards.push(ShardInfo {
@@ -120,7 +122,7 @@ impl CorpusStore {
                 start,
                 count: chunk.len(),
                 bytes: bytes.len() as u64,
-                fingerprint: fnv64(&bytes),
+                fingerprint,
             });
             start += chunk.len() as u64;
         }
@@ -153,10 +155,7 @@ impl CorpusStore {
     /// quarantine details are stable across platforms and runs).
     pub fn load_shard(&self, shard: &ShardInfo) -> Result<Vec<CorpusEntry>, Corruption> {
         let result = self.load_shard_inner(shard);
-        if unicert_telemetry::metrics_enabled() {
-            let outcome = if result.is_ok() { "verified" } else { "corrupt" };
-            unicert_telemetry::global().counter("store.shard", outcome).inc();
-        }
+        count_shard(&result);
         result
     }
 
@@ -176,9 +175,14 @@ impl CorpusStore {
     /// borrowed straight from the segment read buffer, nothing copied per
     /// certificate — to `f`. Validation (and its corruption
     /// classification) is identical to [`CorpusStore::load_shard`]; only
-    /// the representation differs. This is the zero-copy survey path: the
-    /// incremental survey lints each record through a
-    /// [`unicert_x509::CertView`] of the borrowed DER.
+    /// the representation differs.
+    ///
+    /// Validation includes the proof that every record parses as a
+    /// [`unicert_x509::CertView`] under the default budget, because `f` is
+    /// an arbitrary closure that may trust its records. A caller that
+    /// parses every record itself anyway — the incremental survey — goes
+    /// through `survey_shard` instead, which uses that parse as the proof
+    /// and parses each certificate once.
     ///
     /// Ticks the same `store.shard` telemetry counter as `load_shard`.
     pub fn with_shard_records<T>(
@@ -186,22 +190,69 @@ impl CorpusStore {
         shard: &ShardInfo,
         f: impl FnOnce(&[RawEntry<'_>]) -> T,
     ) -> Result<T, Corruption> {
-        let result = self.with_shard_records_inner(shard, f);
-        if unicert_telemetry::metrics_enabled() {
-            let outcome = if result.is_ok() { "verified" } else { "corrupt" };
-            unicert_telemetry::global().counter("store.shard", outcome).inc();
-        }
+        let result = self
+            .read_segment(shard)
+            .and_then(|data| Self::with_validated_records(&data, shard, f));
+        count_shard(&result);
         result
     }
 
-    fn with_shard_records_inner<T>(
+    /// Survey one shard's records with [`run_parallel_records_from`] at
+    /// the shard's global base index, parsing each certificate once: the
+    /// incremental survey's shard read.
+    ///
+    /// The segment is first checked for everything but the per-record
+    /// parse proof — framing, header, size, both fingerprints, record
+    /// frames, metadata columns and record count. The survey's own
+    /// budgeted `CertView` parse of every record (the same parse, under
+    /// the same default budget, that [`CorpusStore::with_shard_records`]
+    /// runs) then serves as the proof. If the survey quarantined any
+    /// record at stage `"parse"`, or the framing check failed, its report
+    /// is discarded and the segment is validated in full, so the
+    /// corruption class and detail are exactly those `with_shard_records`
+    /// reports: the first failing check in record order. The discarded
+    /// survey's own telemetry (its stage timings and
+    /// `survey.quarantined{parse}` ticks) is not taken back.
+    ///
+    /// Ticks the same `store.shard` telemetry counter, once per call.
+    pub(crate) fn survey_shard(
         &self,
+        shard: &ShardInfo,
+        registry: &unicert_lint::Registry,
+        opts: SurveyOptions,
+    ) -> Result<SurveyReport, Corruption> {
+        let survey = |records: &[RawEntry<'_>]| {
+            run_parallel_records_from(registry, records, opts, shard.start)
+        };
+        let result = self.read_segment(shard).and_then(|data| {
+            let framed = decode_segment_frames(
+                &data,
+                shard.index,
+                Some(shard.bytes),
+                Some(shard.fingerprint),
+            )
+            .and_then(|records| Self::check_count(records.len(), shard).map(|()| records));
+            if let Ok(records) = framed {
+                let report = survey(&records);
+                if !report.quarantine.iter().any(|q| q.stage == "parse") {
+                    return Ok(report);
+                }
+            }
+            Self::with_validated_records(&data, shard, survey)
+        });
+        count_shard(&result);
+        result
+    }
+
+    /// Fully validate `data` as `shard`'s segment, per-record parse proof
+    /// included, then lend its records to `f`.
+    fn with_validated_records<T>(
+        data: &[u8],
         shard: &ShardInfo,
         f: impl FnOnce(&[RawEntry<'_>]) -> T,
     ) -> Result<T, Corruption> {
-        let data = self.read_segment(shard)?;
         let records = decode_segment_records(
-            &data,
+            data,
             shard.index,
             Some(shard.bytes),
             Some(shard.fingerprint),
@@ -246,6 +297,15 @@ impl CorpusStore {
     /// The store directory.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+}
+
+/// Tick the `store.shard` telemetry counter (`verified` or `corrupt`) for
+/// one shard read.
+fn count_shard<T>(result: &Result<T, Corruption>) {
+    if unicert_telemetry::metrics_enabled() {
+        let outcome = if result.is_ok() { "verified" } else { "corrupt" };
+        unicert_telemetry::global().counter("store.shard", outcome).inc();
     }
 }
 
