@@ -30,6 +30,22 @@ pub enum BidiClass {
 
 /// Approximate bidi class of a character.
 pub fn bidi_class(ch: char) -> BidiClass {
+    // ASCII holds no RTL character and no mark, and its letters are exactly
+    // `[A-Za-z]`: answer it without the category table.
+    if ch.is_ascii() {
+        return if ch.is_ascii_digit() {
+            BidiClass::En
+        } else if ch.is_ascii_alphabetic() {
+            BidiClass::L
+        } else {
+            BidiClass::Other
+        };
+    }
+    table_bidi_class(ch)
+}
+
+/// [`bidi_class`] from the script ranges and the category table alone.
+fn table_bidi_class(ch: char) -> BidiClass {
     let cp = ch as u32;
     // Strong RTL script ranges (R / AL).
     let rtl = matches!(
@@ -156,6 +172,13 @@ mod tests {
     fn rtl_detection() {
         assert!(is_rtl_label("שלום"));
         assert!(!is_rtl_label("abc"));
+    }
+
+    #[test]
+    fn ascii_branch_equals_the_table() {
+        for ch in ('\u{0}'..='\u{7F}').filter(char::is_ascii) {
+            assert_eq!(bidi_class(ch), table_bidi_class(ch), "U+{:04X}", ch as u32);
+        }
     }
 
     #[test]

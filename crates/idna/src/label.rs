@@ -141,29 +141,31 @@ pub fn a_to_u(label: &str) -> Result<String, LabelError> {
     if !has_ace_prefix(label) {
         return Err(LabelError::ReservedHyphenPositions);
     }
-    let payload = &label[4..];
+    let payload = label.get(4..).unwrap_or_default();
     if payload.is_empty() {
         return Err(LabelError::EmptyAcePayload);
     }
-    // Lowercase only when the payload actually carries uppercase; the
-    // overwhelmingly common already-lowercase payload decodes borrow-free.
-    let u = if payload.bytes().any(|b| b.is_ascii_uppercase()) {
-        punycode::decode(&payload.to_ascii_lowercase())
-    } else {
-        punycode::decode(payload)
-    }
-    .map_err(LabelError::UnconvertibleALabel)?;
+    let u = decode_payload(payload).map_err(LabelError::UnconvertibleALabel)?;
     // Round trip: the canonical re-encoding must reproduce the input.
-    let reencoded = punycode::encode(&u).ok_or(LabelError::RoundTripMismatch)?;
-    if !reencoded.eq_ignore_ascii_case(payload) {
+    if !punycode::encodes_to(u.as_slice(), payload) {
         return Err(LabelError::RoundTripMismatch);
     }
     // An A-label must actually contain non-ASCII (otherwise it is a "fake"
     // A-label: plain ASCII hidden behind xn--).
-    if u.is_ascii() {
+    if u.as_slice().iter().all(char::is_ascii) {
         return Err(LabelError::RoundTripMismatch);
     }
+    let u: String = u.as_slice().iter().collect();
     validate_u_label(&u)?;
+    Ok(u)
+}
+
+/// Punycode-decode an ACE payload (the label after `xn--`) as its
+/// lowercase form, the way [`a_to_u`] reads it: in a buffer sized from the
+/// payload, with no intermediate lowercased copy.
+pub fn decode_payload(payload: &str) -> Result<punycode::Decoded, punycode::PunycodeError> {
+    let mut u = punycode::decode_chars(payload)?;
+    u.make_ascii_lowercase();
     Ok(u)
 }
 
@@ -184,13 +186,23 @@ pub fn u_to_a(label: &str) -> Result<String, LabelError> {
 
 /// Validate a U-label per IDNA2008 (RFC 5891 §4.2 + RFC 5892 properties).
 pub fn validate_u_label(label: &str) -> Result<(), LabelError> {
-    let Some(first) = label.chars().next() else {
+    if label.is_empty() {
         return Err(LabelError::Empty);
-    };
+    }
     if !nfc::is_nfc(label) {
         return Err(LabelError::NotNfc);
     }
-    if unicert_unicode::GeneralCategory::of(first).is_mark() {
+    validate_nfc_u_label(label)
+}
+
+/// [`validate_u_label`] for a label the caller already knows is NFC: every
+/// rule after the normalization check.
+pub fn validate_nfc_u_label(label: &str) -> Result<(), LabelError> {
+    let Some(first) = label.chars().next() else {
+        return Err(LabelError::Empty);
+    };
+    // No ASCII character is a mark, so only non-ASCII needs the table.
+    if !first.is_ascii() && unicert_unicode::GeneralCategory::of(first).is_mark() {
         return Err(LabelError::LeadingCombiningMark);
     }
     if label.starts_with('-') || label.ends_with('-') {

@@ -1,6 +1,10 @@
 //! Punycode: the Bootstring encoding of RFC 3492.
 //!
 //! Implemented from the RFC directly (parameters of §5, algorithms of §6).
+//! Decoding and the round-trip comparison run in buffers sized from the
+//! input ([`decode_chars`], [`encodes_to`]), on the stack for anything a
+//! 63-octet DNS label can carry; [`decode`] and [`encode`] build `String`s
+//! on top of the same code.
 
 /// Decoding failure reasons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,32 +59,113 @@ fn char_to_digit(c: char) -> Option<u32> {
     }
 }
 
+/// Capacity of the stack buffers [`decode_chars`] uses: a whole DNS label
+/// (RFC 1034 §3.1). Longer inputs decode on the heap.
+const LABEL_CAP: usize = 63;
+
+/// The code points one Punycode string decodes to.
+///
+/// Decoding never yields more code points than the input has octets (each
+/// basic code point and each delta consumes at least one), so a buffer of
+/// `input.len()` characters always suffices: on the stack when that fits
+/// a 63-octet label, on the heap otherwise.
+#[derive(Debug, Clone)]
+pub struct Decoded {
+    stack: [char; LABEL_CAP],
+    heap: Vec<char>,
+    len: usize,
+}
+
+impl Decoded {
+    /// The decoded code points, in order.
+    pub fn as_slice(&self) -> &[char] {
+        let buf = if self.heap.is_empty() { self.stack.as_slice() } else { self.heap.as_slice() };
+        buf.get(..self.len).unwrap_or(buf)
+    }
+
+    /// Lowercase the ASCII code points in place. Deltas only insert code
+    /// points ≥ U+0080, so this equals decoding the ASCII-lowercased input.
+    pub fn make_ascii_lowercase(&mut self) {
+        let len = self.len;
+        let buf = if self.heap.is_empty() { self.stack.as_mut_slice() } else { self.heap.as_mut_slice() };
+        for c in buf.iter_mut().take(len) {
+            c.make_ascii_lowercase();
+        }
+    }
+
+    /// Run `f` on the decoded text: UTF-8 in a stack buffer when the code
+    /// points fit a label, a `String` beyond that.
+    pub fn with_str<R>(&self, f: impl FnOnce(&str) -> R) -> R {
+        let chars = self.as_slice();
+        if chars.len() > LABEL_CAP {
+            return f(&chars.iter().collect::<String>());
+        }
+        let mut bytes = [0u8; 4 * LABEL_CAP];
+        let mut len = 0;
+        for c in chars {
+            let Some(slot) = bytes.get_mut(len..) else { break };
+            len += c.encode_utf8(slot).len();
+        }
+        // Whole characters were encoded, so the prefix is valid UTF-8.
+        f(bytes.get(..len).and_then(|b| std::str::from_utf8(b).ok()).unwrap_or_default())
+    }
+}
+
 /// Encode a Unicode string as Punycode (without any `xn--` prefix).
 ///
 /// Returns `None` on overflow (inputs beyond the algorithm's range).
 pub fn encode(input: &str) -> Option<String> {
-    let chars: Vec<u32> = input.chars().map(|c| c as u32).collect();
-    let mut output = String::new();
-    let basic: Vec<u32> = chars.iter().copied().filter(|&c| c < 0x80).collect();
-    for &c in &basic {
-        output.push(char::from_u32(c)?);
+    let mut output = String::with_capacity(input.len());
+    encode_with(input.chars(), |c| {
+        output.push(c);
+        true
+    })?;
+    Some(output)
+}
+
+/// Does `chars` encode to `expected`, ignoring ASCII case? Compares the
+/// encoder's output as it is produced, without building it; an input
+/// [`encode`] rejects never matches. Equal to
+/// `encode(s).is_some_and(|e| e.eq_ignore_ascii_case(expected))` for the
+/// string `s` of `chars`.
+pub fn encodes_to(chars: &[char], expected: &str) -> bool {
+    let mut want = expected.bytes();
+    let complete = encode_with(chars.iter().copied(), |c| {
+        want.next().is_some_and(|b| c.is_ascii() && b.eq_ignore_ascii_case(&(c as u8)))
+    });
+    complete.is_some() && want.next().is_none()
+}
+
+/// RFC 3492 §6.3 over a re-iterable code-point sequence. Each output
+/// character goes to `emit`, which returns `false` to stop early. `None`
+/// on overflow or when `emit` stopped.
+fn encode_with<I>(input: I, mut emit: impl FnMut(char) -> bool) -> Option<()>
+where
+    I: Iterator<Item = char> + Clone,
+{
+    let mut put = |c: char| emit(c).then_some(());
+    let total = input.clone().count();
+    let mut basic = 0usize;
+    for c in input.clone().filter(char::is_ascii) {
+        put(c)?;
+        basic += 1;
     }
-    let b = basic.len() as u32;
+    let b = u32::try_from(basic).ok()?;
     let mut h = b;
     // RFC 3492 §6.3: the delimiter is emitted whenever there are basic code
     // points, even if no extended code points follow ("-> $1.00 <-" encodes
     // to "-> $1.00 <--").
     if b > 0 {
-        output.push(DELIMITER);
+        put(DELIMITER)?;
     }
     let mut n = INITIAL_N;
     let mut delta: u32 = 0;
     let mut bias = INITIAL_BIAS;
-    while (h as usize) < chars.len() {
-        let m = chars.iter().copied().filter(|&c| c >= n).min()?;
+    while (h as usize) < total {
+        let m = input.clone().map(u32::from).filter(|&c| c >= n).min()?;
         delta = delta.checked_add((m - n).checked_mul(h + 1)?)?;
         n = m;
-        for &c in &chars {
+        for c in input.clone().map(u32::from) {
             if c < n {
                 delta = delta.checked_add(1)?;
             }
@@ -98,11 +183,11 @@ pub fn encode(input: &str) -> Option<String> {
                     if q < t {
                         break;
                     }
-                    output.push(digit_to_char(t + (q - t) % (BASE - t)));
+                    put(digit_to_char(t + (q - t) % (BASE - t)))?;
                     q = (q - t) / (BASE - t);
                     k += BASE;
                 }
-                output.push(digit_to_char(q));
+                put(digit_to_char(q))?;
                 bias = adapt(delta, h + 1, h == b);
                 delta = 0;
                 h += 1;
@@ -111,21 +196,43 @@ pub fn encode(input: &str) -> Option<String> {
         delta = delta.checked_add(1)?;
         n = n.checked_add(1)?;
     }
-    Some(output)
+    Some(())
 }
 
 /// Decode a Punycode string (without any `xn--` prefix).
 pub fn decode(input: &str) -> Result<String, PunycodeError> {
-    let mut output: Vec<char> = Vec::new();
+    decode_chars(input).map(|d| d.as_slice().iter().collect())
+}
+
+/// Decode a Punycode string into a [`Decoded`] buffer: the same result as
+/// [`decode`], without building a `String` (and, for inputs of at most 63
+/// octets, without touching the heap).
+pub fn decode_chars(input: &str) -> Result<Decoded, PunycodeError> {
+    let mut out = Decoded { stack: ['\0'; LABEL_CAP], heap: Vec::new(), len: 0 };
+    if input.len() > LABEL_CAP {
+        out.heap = vec!['\0'; input.len()];
+    }
+    let buf = if out.heap.is_empty() { out.stack.as_mut_slice() } else { out.heap.as_mut_slice() };
+    out.len = decode_into(input, buf)?;
+    Ok(out)
+}
+
+/// RFC 3492 §6.2 into `out`, which must hold `input.len()` characters (see
+/// [`Decoded`]); returns how many it wrote.
+fn decode_into(input: &str, out: &mut [char]) -> Result<usize, PunycodeError> {
     let (basic_part, extended) = match input.rsplit_once(DELIMITER) {
         Some((basic, ext)) => (basic, ext),
         None => ("", input),
     };
+    let mut len = 0usize;
     for c in basic_part.chars() {
         if !c.is_ascii() {
             return Err(PunycodeError::NonBasicCodePoint);
         }
-        output.push(c);
+        // The buffer holds one character per input octet, so the slot
+        // always exists.
+        *out.get_mut(len).ok_or(PunycodeError::Overflow)? = c;
+        len += 1;
     }
     let mut n = INITIAL_N;
     let mut i: u32 = 0;
@@ -154,17 +261,25 @@ pub fn decode(input: &str) -> Result<String, PunycodeError> {
             w = w.checked_mul(BASE - t).ok_or(PunycodeError::Overflow)?;
             k += BASE;
         }
-        let len = output.len() as u32 + 1;
-        bias = adapt(i - old_i, len, old_i == 0);
+        let count = len as u32 + 1;
+        bias = adapt(i - old_i, count, old_i == 0);
         n = n
-            .checked_add(i / len)
+            .checked_add(i / count)
             .ok_or(PunycodeError::Overflow)?;
-        i %= len;
+        i %= count;
         let ch = char::from_u32(n).ok_or(PunycodeError::InvalidCodePoint)?;
-        output.insert(i as usize, ch);
+        // Insert at `i` (≤ len): every delta consumed at least one input
+        // octet, so `len < out.len()` holds here.
+        let at = i as usize;
+        if len >= out.len() {
+            return Err(PunycodeError::Overflow);
+        }
+        out.copy_within(at..len, at + 1);
+        *out.get_mut(at).ok_or(PunycodeError::Overflow)? = ch;
+        len += 1;
         i += 1;
     }
-    Ok(output.into_iter().collect())
+    Ok(len)
 }
 
 #[cfg(test)]

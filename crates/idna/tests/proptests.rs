@@ -110,3 +110,184 @@ fn rfc3492_sample_vectors_decode() {
         );
     }
 }
+
+/// RFC 3492 §6.2, transcribed with a growing `Vec<char>`: the reference the
+/// buffer-based decoder must equal, error variants included.
+fn reference_decode(input: &str) -> Result<Vec<char>, punycode::PunycodeError> {
+    use punycode::PunycodeError as E;
+    let mut output: Vec<char> = Vec::new();
+    let (basic, extended) = input.rsplit_once('-').unwrap_or(("", input));
+    for c in basic.chars() {
+        if !c.is_ascii() {
+            return Err(E::NonBasicCodePoint);
+        }
+        output.push(c);
+    }
+    let (mut n, mut i, mut bias) = (128u32, 0u32, 72u32);
+    let mut iter = extended.chars().peekable();
+    while iter.peek().is_some() {
+        let old_i = i;
+        let (mut w, mut k) = (1u32, 36u32);
+        loop {
+            let c = iter.next().ok_or(E::Truncated)?;
+            let digit = match c {
+                'a'..='z' => c as u32 - 'a' as u32,
+                'A'..='Z' => c as u32 - 'A' as u32,
+                '0'..='9' => c as u32 - '0' as u32 + 26,
+                _ => return Err(E::InvalidDigit),
+            };
+            i = i.checked_add(digit.checked_mul(w).ok_or(E::Overflow)?).ok_or(E::Overflow)?;
+            let t = if k <= bias { 1 } else if k >= bias + 26 { 26 } else { k - bias };
+            if digit < t {
+                break;
+            }
+            w = w.checked_mul(36 - t).ok_or(E::Overflow)?;
+            k += 36;
+        }
+        let len = output.len() as u32 + 1;
+        bias = reference_adapt(i - old_i, len, old_i == 0);
+        n = n.checked_add(i / len).ok_or(E::Overflow)?;
+        i %= len;
+        output.insert(i as usize, char::from_u32(n).ok_or(E::InvalidCodePoint)?);
+        i += 1;
+    }
+    Ok(output)
+}
+
+/// RFC 3492 §6.3, transcribed with `Vec<u32>` and `String` buffers.
+fn reference_encode(input: &str) -> Option<String> {
+    let chars: Vec<u32> = input.chars().map(|c| c as u32).collect();
+    let mut output: String = input.chars().filter(char::is_ascii).collect();
+    let b = output.len() as u32;
+    let mut h = b;
+    if b > 0 {
+        output.push('-');
+    }
+    let (mut n, mut delta, mut bias) = (128u32, 0u32, 72u32);
+    let digit = |d: u32| if d < 26 { (b'a' + d as u8) as char } else { (b'0' + (d - 26) as u8) as char };
+    while (h as usize) < chars.len() {
+        let m = chars.iter().copied().filter(|&c| c >= n).min()?;
+        delta = delta.checked_add((m - n).checked_mul(h + 1)?)?;
+        n = m;
+        for &c in &chars {
+            if c < n {
+                delta = delta.checked_add(1)?;
+            }
+            if c == n {
+                let (mut q, mut k) = (delta, 36u32);
+                loop {
+                    let t = if k <= bias { 1 } else if k >= bias + 26 { 26 } else { k - bias };
+                    if q < t {
+                        break;
+                    }
+                    output.push(digit(t + (q - t) % (36 - t)));
+                    q = (q - t) / (36 - t);
+                    k += 36;
+                }
+                output.push(digit(q));
+                bias = reference_adapt(delta, h + 1, h == b);
+                delta = 0;
+                h += 1;
+            }
+        }
+        delta = delta.checked_add(1)?;
+        n = n.checked_add(1)?;
+    }
+    Some(output)
+}
+
+fn reference_adapt(mut delta: u32, num_points: u32, first_time: bool) -> u32 {
+    delta /= if first_time { 700 } else { 2 };
+    delta += delta / num_points;
+    let mut k = 0;
+    while delta > 35 * 26 / 2 {
+        delta /= 35;
+        k += 36;
+    }
+    k + 36 * delta / (delta + 38)
+}
+
+/// Check the buffer decoder and `decode` against the reference on `s`.
+fn assert_decode_matches_reference(s: &str) {
+    let reference = reference_decode(s);
+    let buffered = punycode::decode_chars(s).map(|d| d.as_slice().to_vec());
+    prop_assert_eq!(&buffered, &reference, "decode_chars({:?})", s);
+    let string = punycode::decode(s).map(|t| t.chars().collect::<Vec<_>>());
+    prop_assert_eq!(&string, &reference, "decode({:?})", s);
+}
+
+/// Check `encode` and the encode-compare against the reference on `s`,
+/// comparing with the canonical encoding, its uppercase form, the encoding
+/// with one character more and one fewer, and `other`.
+fn assert_encode_matches_reference(s: &str, other: &str) {
+    let reference = reference_encode(s);
+    prop_assert_eq!(punycode::encode(s), reference.clone(), "encode({:?})", s);
+    let chars: Vec<char> = s.chars().collect();
+    let canonical = reference.clone().unwrap_or_default();
+    let shorter = canonical.get(..canonical.len().saturating_sub(1)).unwrap_or_default();
+    for expected in [
+        canonical.clone(),
+        canonical.to_ascii_uppercase(),
+        format!("{canonical}a"),
+        shorter.to_string(),
+        other.to_string(),
+    ] {
+        let want = reference.as_ref().is_some_and(|e| e.eq_ignore_ascii_case(&expected));
+        prop_assert_eq!(
+            punycode::encodes_to(&chars, &expected),
+            want,
+            "encodes_to({:?}, {:?})",
+            s,
+            expected
+        );
+    }
+}
+
+proptest! {
+    /// The buffer decoder equals the reference on Punycode-alphabet input
+    /// of up to 80 characters: past the 63-octet label it takes the heap
+    /// fallback, and every error variant is reachable.
+    #[test]
+    fn buffer_decode_matches_reference_on_punycode_alphabet(s in "[a-zA-Z0-9-]{0,80}") {
+        assert_decode_matches_reference(&s);
+    }
+
+    /// The same on input mixing in non-basic and non-digit characters.
+    #[test]
+    fn buffer_decode_matches_reference_on_mixed_input(s in "[a-z0-9!é中-]{0,80}") {
+        assert_decode_matches_reference(&s);
+    }
+
+    /// The same on arbitrary Unicode text.
+    #[test]
+    fn buffer_decode_matches_reference_on_any_text(s in "\\PC{0,80}") {
+        assert_decode_matches_reference(&s);
+    }
+
+    /// `encode` and `encodes_to` equal the reference encoder on arbitrary
+    /// Unicode text of up to 80 characters.
+    #[test]
+    fn encode_compare_matches_reference(s in "\\PC{0,80}", other in "[a-z0-9-]{0,20}") {
+        assert_encode_matches_reference(&s, &other);
+    }
+
+    /// The same on label-like text: ASCII letters around Latin-1 and CJK.
+    #[test]
+    fn encode_compare_matches_reference_on_labels(
+        s in "[a-zA-Z0-9-]{0,30}[\u{E0}-\u{FF}\u{4E00}-\u{4E20}]{0,30}[a-z]{0,20}",
+        other in "[a-zA-Z0-9-]{0,40}",
+    ) {
+        assert_encode_matches_reference(&s, &other);
+    }
+
+    /// Decoding a payload and re-encoding it compares equal to the payload
+    /// exactly when the reference round trip does.
+    #[test]
+    fn decode_then_compare_matches_reference_round_trip(s in "[a-zA-Z0-9-]{0,80}") {
+        if let Ok(decoded) = punycode::decode_chars(&s) {
+            let text: String = decoded.as_slice().iter().collect();
+            let want = reference_encode(&text).is_some_and(|e| e.eq_ignore_ascii_case(&s));
+            prop_assert_eq!(punycode::encodes_to(decoded.as_slice(), &s), want, "{:?}", s);
+        }
+    }
+}

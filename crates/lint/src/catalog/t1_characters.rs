@@ -5,11 +5,11 @@
 //! IDNA-disallowed code points after Punycode decoding).
 
 use super::lint;
+use crate::facts::CharClasses;
 use crate::framework::{Lint, NoncomplianceType::InvalidCharacter, Severity::*, Source::*};
 use crate::helpers::{self, Which};
 use unicert_asn1::StringKind;
 use unicert_idna::label::ALabelStatus;
-use unicert_unicode::classify;
 
 /// The 22 T1 lints.
 pub fn lints() -> Vec<Lint> {
@@ -21,10 +21,7 @@ pub fn lints() -> Vec<Lint> {
             Idna2008, Error, InvalidCharacter, new = true,
             |ctx| {
                 helpers::check_values(ctx.san_dns(), |v| {
-                    match helpers::lenient_text(v) {
-                        Some(t) => !ctx.any_ace_label(t, |i| i.status == ALabelStatus::DisallowedContent),
-                        None => true,
-                    }
+                    !ctx.ace_labels(v).iter().any(|i| i.status == ALabelStatus::DisallowedContent)
                 })
             }
         ),
@@ -73,11 +70,10 @@ pub fn lints() -> Vec<Lint> {
             "RFC 5890 §2.3.2.1, RFC 3492",
             Rfc5890, Error, InvalidCharacter, new = false,
             |ctx| {
-                helpers::check_values(ctx.san_dns(), |v| match helpers::lenient_text(v) {
-                    Some(t) => !ctx.any_ace_label(t, |i| {
+                helpers::check_values(ctx.san_dns(), |v| {
+                    !ctx.ace_labels(v).iter().any(|i| {
                         matches!(i.status, ALabelStatus::Unconvertible | ALabelStatus::NonCanonical)
-                    }),
-                    None => true,
+                    })
                 })
             }
         ),
@@ -87,10 +83,7 @@ pub fn lints() -> Vec<Lint> {
             "CABF BR §7.1.4.2.1, RFC 1034 §3.5",
             CabfBr, Error, InvalidCharacter, new = false,
             |ctx| {
-                helpers::check_values(ctx.san_dns(), |v| {
-                    helpers::lenient_text(v)
-                        .is_none_or(|t| t.is_ascii() && helpers::is_dns_repertoire(t))
-                })
+                helpers::check_values(ctx.san_dns(), |v| helpers::free_of_class(v, CharClasses::NON_DNS))
             }
         ),
         lint!(
@@ -99,9 +92,7 @@ pub fn lints() -> Vec<Lint> {
             "RFC 5280 §4.2.1.6, RFC 8399 §2.2",
             Rfc8399, Error, InvalidCharacter, new = true,
             |ctx| {
-                helpers::check_values(ctx.san_dns(), |v| {
-                    helpers::lenient_text(v).is_none_or(|t| t.is_ascii())
-                })
+                helpers::check_values(ctx.san_dns(), |v| helpers::free_of_class(v, CharClasses::NON_ASCII))
             }
         ),
         lint!(
@@ -110,7 +101,7 @@ pub fn lints() -> Vec<Lint> {
             "RFC 5280 §4.1.2.6; CVE-2009-2408 heritage",
             Community, Error, InvalidCharacter, new = false,
             |ctx| helpers::check_all_dn(ctx, Which::Subject, |v| {
-                helpers::free_of(v, |c| c == '\u{0}')
+                helpers::free_of_class(v, CharClasses::NUL)
             })
         ),
         lint!(
@@ -127,7 +118,7 @@ pub fn lints() -> Vec<Lint> {
             Rfc5280, Error, InvalidCharacter, new = true,
             |ctx| {
                 helpers::check_values(ctx.san_rfc822(), |v| {
-                    helpers::free_of(v, |c| classify::is_control(c) || c == ' ')
+                    helpers::free_of_class(v, CharClasses::CONTROL | CharClasses::SPACE)
                 })
             }
         ),
@@ -138,7 +129,7 @@ pub fn lints() -> Vec<Lint> {
             Rfc5280, Error, InvalidCharacter, new = true,
             |ctx| {
                 helpers::check_values(ctx.san_uri(), |v| {
-                    helpers::free_of(v, |c| classify::is_control(c) || c == ' ')
+                    helpers::free_of_class(v, CharClasses::CONTROL | CharClasses::SPACE)
                 })
             }
         ),
@@ -148,7 +139,7 @@ pub fn lints() -> Vec<Lint> {
             "RFC 9549 §3, Unicode UAX #9",
             Rfc9549, Error, InvalidCharacter, new = true,
             |ctx| helpers::check_all_dn(ctx, Which::Subject, |v| {
-                helpers::free_of(v, classify::is_bidi_control)
+                helpers::free_of_class(v, CharClasses::BIDI_CONTROL)
             })
         ),
         lint!(
@@ -157,7 +148,7 @@ pub fn lints() -> Vec<Lint> {
             "RFC 8399 §2, Unicode TR #36",
             Rfc8399, Error, InvalidCharacter, new = true,
             |ctx| helpers::check_all_dn(ctx, Which::Subject, |v| {
-                helpers::free_of(v, classify::is_zero_width)
+                helpers::free_of_class(v, CharClasses::ZERO_WIDTH)
             })
         ),
         lint!(
@@ -166,10 +157,7 @@ pub fn lints() -> Vec<Lint> {
             "RFC 5280 §4.2.1.7",
             Rfc5280, Error, InvalidCharacter, new = true,
             |ctx| {
-                helpers::check_values(ctx.ian_dns(), |v| {
-                    helpers::lenient_text(v)
-                        .is_none_or(|t| t.is_ascii() && helpers::is_dns_repertoire(t))
-                })
+                helpers::check_values(ctx.ian_dns(), |v| helpers::free_of_class(v, CharClasses::NON_DNS))
             }
         ),
         lint!(
@@ -184,7 +172,7 @@ pub fn lints() -> Vec<Lint> {
                     .chain(ctx.dn_attrs(Which::Issuer))
                     .map(|a| &a.val)
                     .filter(|v| v.kind() == Some(StringKind::Utf8));
-                helpers::check_values(values, |v| helpers::free_of(v, classify::is_control))
+                helpers::check_values(values, helpers::has_no_control_chars)
             }
         ),
         lint!(
@@ -193,7 +181,7 @@ pub fn lints() -> Vec<Lint> {
             "community practice; Table 3 variant analysis",
             Community, Warning, InvalidCharacter, new = false,
             |ctx| helpers::check_all_dn(ctx, Which::Subject, |v| {
-                helpers::free_of(v, classify::is_nonstandard_whitespace)
+                helpers::free_of_class(v, CharClasses::NONSTANDARD_WHITESPACE)
             })
         ),
         lint!(
@@ -202,9 +190,7 @@ pub fn lints() -> Vec<Lint> {
             "RFC 5280 §4.2.1.13, RFC 3986",
             Rfc5280, Error, InvalidCharacter, new = true,
             |ctx| {
-                helpers::check_values(ctx.crldp_uris(), |v| {
-                    helpers::free_of(v, classify::is_control)
-                })
+                helpers::check_values(ctx.crldp_uris(), helpers::has_no_control_chars)
             }
         ),
         lint!(

@@ -4,9 +4,10 @@
 //! strings should be NFC, and IDN A-labels must round-trip cleanly through
 //! their U-label form (§4.3.1 T2).
 //!
-//! Per-label punycode/NFC verdicts come from the context's label cache
-//! ([`crate::context::LintContext::label_info`]) — one IDNA pipeline run
-//! per distinct label, shared with the T1 lints and the classify stage.
+//! Per-label punycode/NFC verdicts come from the value's ACE-label list
+//! ([`crate::context::LintContext::ace_labels`]), filled through the
+//! context's label cache — one IDNA pipeline run per distinct label,
+//! shared with the T1 lints and the classify stage.
 
 use super::lint;
 use crate::framework::{Lint, NoncomplianceType::BadNormalization, Severity::*, Source::*};
@@ -24,8 +25,7 @@ pub fn lints() -> Vec<Lint> {
             Rfc5890, Error, BadNormalization, new = true,
             |ctx| {
                 helpers::check_values(ctx.san_dns(), |v| {
-                    helpers::lenient_text(v)
-                        .is_none_or(|t| !ctx.any_ace_label(t, |i| i.non_nfc))
+                    !ctx.ace_labels(v).iter().any(|i| i.non_nfc)
                 })
             }
         ),
@@ -52,8 +52,7 @@ pub fn lints() -> Vec<Lint> {
             Rfc5890, Error, BadNormalization, new = true,
             |ctx| {
                 helpers::check_values(ctx.san_dns(), |v| {
-                    helpers::lenient_text(v)
-                        .is_none_or(|t| !ctx.any_ace_label(t, |i| i.roundtrip_mismatch))
+                    !ctx.ace_labels(v).iter().any(|i| i.roundtrip_mismatch)
                 })
             }
         ),

@@ -76,10 +76,7 @@ pub fn lints() -> Vec<Lint> {
             "RFC 1034 §3.1",
             Rfc1034, Error, IllegalFormat, new = false,
             |ctx| {
-                helpers::check_values(ctx.san_dns(), |v| {
-                    helpers::lenient_text(v)
-                        .is_none_or(|t| t.split('.').all(|l| l.len() <= 63))
-                })
+                helpers::check_values(ctx.san_dns(), |v| v.label_shape().longest_label <= 63)
             }
         ),
         lint!(
@@ -97,13 +94,7 @@ pub fn lints() -> Vec<Lint> {
             "RFC 5890 §2.3.1",
             Rfc5890, Error, IllegalFormat, new = false,
             |ctx| {
-                helpers::check_values(ctx.san_dns(), |v| {
-                    helpers::lenient_text(v).is_none_or(|t| {
-                        t.split('.')
-                            .filter(|l| !l.is_empty() && *l != "*")
-                            .all(|l| !l.starts_with('-') && !l.ends_with('-'))
-                    })
-                })
+                helpers::check_values(ctx.san_dns(), |v| !v.label_shape().hyphen_edge)
             }
         ),
         lint!(
@@ -166,10 +157,7 @@ pub fn lints() -> Vec<Lint> {
             "RFC 1034 §3.5",
             Rfc1034, Error, IllegalFormat, new = false,
             |ctx| {
-                helpers::check_values(ctx.san_dns(), |v| {
-                    helpers::lenient_text(v)
-                        .is_none_or(|t| !t.is_empty() && t.split('.').all(|l| !l.is_empty()))
-                })
+                helpers::check_values(ctx.san_dns(), |v| !v.label_shape().empty_label)
             }
         ),
         lint!(

@@ -3,7 +3,21 @@
 use super::lint;
 use crate::framework::{Lint, LintStatus, NoncomplianceType::InvalidStructure, Severity::*, Source::*};
 use crate::helpers::{self, Which};
+use std::borrow::Cow;
 use unicert_asn1::oid::known;
+use unicert_x509::GeneralName;
+
+/// A text's case-insensitive comparison key: ASCII text as is (compared
+/// with `eq_ignore_ascii_case`), anything else lowercased. Two texts have
+/// equal `to_lowercase` forms exactly when their keys are equal ignoring
+/// ASCII case, so only non-ASCII text pays for a new `String`.
+fn case_key(text: String) -> String {
+    if text.is_ascii() {
+        text
+    } else {
+        text.to_lowercase()
+    }
+}
 
 /// The 2 T3c lints.
 pub fn lints() -> Vec<Lint> {
@@ -18,26 +32,27 @@ pub fn lints() -> Vec<Lint> {
             "CABF BR §7.1.4.2.2(a)",
             CabfBr, Warning, InvalidStructure, new = false,
             |ctx| {
-                let cns: Vec<_> = ctx.attr_vals(Which::Subject, &known::common_name()).collect();
-                if cns.is_empty() {
+                let mut cns = ctx.attr_vals(Which::Subject, &known::common_name()).peekable();
+                if cns.peek().is_none() {
                     return LintStatus::NotApplicable;
                 }
-                let mut san_texts: Vec<String> = Vec::new();
+                let mut san_keys: Vec<String> = Vec::new();
                 for n in ctx.san() {
                     match n {
-                        unicert_x509::GeneralName::DnsName(v)
-                        | unicert_x509::GeneralName::Rfc822Name(v)
-                        | unicert_x509::GeneralName::Uri(v) => san_texts.push(v.display_lossy().to_lowercase()),
-                        unicert_x509::GeneralName::IpAddress(b) if b.len() == 4 => {
-                            san_texts.push(format!("{}.{}.{}.{}", b[0], b[1], b[2], b[3]))
+                        GeneralName::DnsName(v) | GeneralName::Rfc822Name(v) | GeneralName::Uri(v) => {
+                            san_keys.push(case_key(v.display_lossy()))
+                        }
+                        GeneralName::IpAddress(b) if b.len() == 4 => {
+                            san_keys.push(format!("{}.{}.{}.{}", b[0], b[1], b[2], b[3]))
                         }
                         _ => {}
                     }
                 }
-                let all_found = cns.iter().all(|&cn| {
-                    helpers::lenient_text(cn)
-                        .map(|t| san_texts.contains(&t.to_lowercase()))
-                        .unwrap_or(false)
+                let all_found = cns.all(|cn| {
+                    helpers::lenient_text(cn).is_some_and(|t| {
+                        let key = if t.is_ascii() { Cow::Borrowed(t) } else { Cow::Owned(t.to_lowercase()) };
+                        san_keys.iter().any(|s| s.eq_ignore_ascii_case(&key))
+                    })
                 });
                 if all_found {
                     LintStatus::Pass

@@ -16,20 +16,29 @@
 //! sharing never happens and the caches stay free of synchronization cost.
 //! The registry and its lint closures remain `Send + Sync` as before.
 //!
+//! Facts derived from one value are computed once too. Each [`CachedVal`]
+//! records its character classes and DNSName label shape from one pass
+//! over its wire text ([`crate::facts`]), and, when asked through
+//! [`LintContext::ace_labels`], the verdicts of its ACE labels, filled
+//! through the context's per-label map. The checks read these stored
+//! results instead of re-scanning or re-splitting the text.
+//!
 //! Cache-effectiveness counters (`ctx.cache.hit` / `ctx.cache.miss`, labelled
 //! by field family: `san`, `dn_text`, `punycode`, `nfc`) are tallied in plain
 //! `Cell`s and flushed to the global metrics registry when the context drops,
 //! and only when metrics are enabled — the hot path never touches an atomic.
 
 use std::cell::{Cell, OnceCell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
+use crate::facts::{CharClasses, LabelShape, ValueFacts};
 use crate::framework::Evidence;
 use crate::helpers::Which;
 use unicert_asn1::oid::known;
 use unicert_asn1::{Oid, Span, StringKind};
-use unicert_idna::label::{has_ace_prefix, validate_ldh, ALabelStatus, LabelError};
+use unicert_idna::label::{
+    decode_payload, has_ace_prefix, validate_ldh, validate_nfc_u_label, ALabelStatus,
+};
 use unicert_idna::punycode;
 use unicert_unicode::nfc;
 use unicert_x509::extensions::{parse_extension_value, ParsedExtension, PolicyQualifier};
@@ -137,8 +146,9 @@ struct EvidenceState {
 /// A string value with memoized decode results.
 ///
 /// Wraps the original [`RawValue`] (tag + bytes, untouched) and computes the
-/// wire decode, the strict decode verdict, and the NFC verdict at most once
-/// each, no matter how many lints ask. In evidence mode the value also
+/// wire decode, the strict decode verdict, the NFC verdict, the per-value
+/// facts ([`crate::facts`]) and the ACE-label verdicts at most once each,
+/// no matter how many lints ask. In evidence mode the value also
 /// carries its [`Origin`]; every accessor then logs the touch so the
 /// framework can attribute byte ranges to the finding of the lint that
 /// asked.
@@ -148,6 +158,9 @@ pub struct CachedVal {
     wire: OnceCell<Option<Box<str>>>,
     strict_ok: OnceCell<bool>,
     nfc_ok: OnceCell<bool>,
+    facts: OnceCell<ValueFacts>,
+    /// Verdicts of the ACE labels, filled by [`LintContext::ace_labels`].
+    ace: OnceCell<Vec<LabelInfo>>,
     stats: Rc<CacheStats>,
     /// `(origin, touch log)` — populated only in evidence mode.
     provenance: Option<(Rc<Origin>, TouchLog)>,
@@ -164,6 +177,8 @@ impl CachedVal {
             wire: OnceCell::new(),
             strict_ok: OnceCell::new(),
             nfc_ok: OnceCell::new(),
+            facts: OnceCell::new(),
+            ace: OnceCell::new(),
             stats,
             provenance,
         }
@@ -228,6 +243,27 @@ impl CachedVal {
             None => true,
         })
     }
+
+    /// The character classes of the wire text, from the value's one facts
+    /// pass. Undecodable bytes yield the empty set: encoding lints own
+    /// them, so every character check passes, as `helpers::free_of` does.
+    pub fn char_classes(&self) -> CharClasses {
+        self.touch_origin();
+        self.facts().classes
+    }
+
+    /// The wire text's label shape, read as a DNSName, from the same pass.
+    /// Undecodable bytes yield the default shape, which no shape check
+    /// rejects.
+    pub fn label_shape(&self) -> LabelShape {
+        self.touch_origin();
+        self.facts().shape
+    }
+
+    fn facts(&self) -> &ValueFacts {
+        self.facts
+            .get_or_init(|| self.wire_text().map_or_else(ValueFacts::default, ValueFacts::of_text))
+    }
 }
 
 /// One DN attribute with its cached value.
@@ -239,8 +275,43 @@ pub struct DnAttr {
     pub val: CachedVal,
 }
 
+/// One DN's attributes plus a presence mask over the X.520 `2.5.4.n`
+/// types, so asking for an absent type costs no scan.
+struct DnCache {
+    attrs: Vec<DnAttr>,
+    /// Bit `n` is set iff some attribute has type `2.5.4.n`.
+    x520: u128,
+}
+
+impl DnCache {
+    fn new(attrs: Vec<DnAttr>) -> DnCache {
+        let x520 = attrs.iter().filter_map(|a| x520_arc(&a.oid)).fold(0, |m, n| m | 1u128 << n);
+        DnCache { attrs, x520 }
+    }
+
+    /// Can an attribute of type `oid` be present? Exact for X.520 types;
+    /// `true` (scan to find out) for any other.
+    fn may_hold(&self, oid: &Oid) -> bool {
+        x520_arc(oid).is_none_or(|n| self.x520 & 1u128 << n != 0)
+    }
+}
+
+/// The `n` of an X.520 attribute type `2.5.4.n` with `n < 128`, whose
+/// content octets are `55 04 n`.
+fn x520_arc(oid: &Oid) -> Option<u32> {
+    match oid.as_der_value() {
+        &[0x55, 0x04, n] if n < 0x80 => Some(u32::from(n)),
+        _ => None,
+    }
+}
+
+/// Distinct labels one context remembers. Past this, a label is computed
+/// again on each ask, so a certificate listing thousands of labels cannot
+/// make the linear lookup quadratic.
+const LABEL_MAP_CAP: usize = 64;
+
 /// Everything the label cache knows about one DNS label, from a single
-/// `a_to_u` pipeline run.
+/// decode of its payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LabelInfo {
     /// The F1 classification (`classify_a_label` equivalent).
@@ -253,48 +324,36 @@ pub struct LabelInfo {
 }
 
 impl LabelInfo {
-    /// Run the IDNA pipeline once and derive every verdict the catalog asks
-    /// about. Matches `classify_a_label` / the T2 lints bit for bit.
+    /// Derive every verdict the catalog asks about from one decode of the
+    /// payload, reusing the U-label for the NFC verdict. Matches
+    /// `classify_a_label` / the T2 lints bit for bit.
     fn compute(label: &str) -> LabelInfo {
+        use ALabelStatus::*;
         let ldh_ok = validate_ldh(label).is_ok() && has_ace_prefix(label);
-        let converted = unicert_idna::label::a_to_u(label);
-        let status = if !ldh_ok {
-            ALabelStatus::NotALabel
-        } else {
-            match &converted {
-                Ok(_) => ALabelStatus::Valid,
-                Err(LabelError::UnconvertibleALabel(_)) | Err(LabelError::EmptyAcePayload) => {
-                    ALabelStatus::Unconvertible
-                }
-                Err(LabelError::RoundTripMismatch) => ALabelStatus::NonCanonical,
-                Err(_) => ALabelStatus::DisallowedContent,
-            }
+        let payload = label.get(4..);
+        let (Some(payload), Some(Ok(u))) = (payload, payload.map(decode_payload)) else {
+            // No U-label to judge: an A-label candidate is unconvertible.
+            let status = if ldh_ok { Unconvertible } else { NotALabel };
+            return LabelInfo { status, non_nfc: false, roundtrip_mismatch: false };
         };
-        // a_to_u checks NFC before other U-label rules may fire; also catch
-        // decodable labels whose U-label isn't NFC but that fail earlier
-        // pipeline stages. Lowercasing allocates only when needed.
-        let non_nfc = match &converted {
-            Err(LabelError::NotNfc) => true,
-            _ => match label.get(4..) {
-                Some(payload) => match decode_payload_lowercased(payload) {
-                    Some(u) => !nfc::is_nfc(&u),
-                    None => false,
-                },
-                None => false,
-            },
-        };
-        let roundtrip_mismatch = matches!(&converted, Err(LabelError::RoundTripMismatch));
-        LabelInfo { status, non_nfc, roundtrip_mismatch }
-    }
-}
-
-/// Punycode-decode an ACE payload, lowercasing first — without allocating
-/// an intermediate string when the payload is already lowercase.
-fn decode_payload_lowercased(payload: &str) -> Option<String> {
-    if payload.bytes().any(|b| b.is_ascii_uppercase()) {
-        punycode::decode(&payload.to_ascii_lowercase()).ok()
-    } else {
-        punycode::decode(payload).ok()
+        u.with_str(|text| {
+            // The NFC verdict holds for any decodable payload, A-label or
+            // not (T2's per-label predicate).
+            let non_nfc = !nfc::is_nfc(text);
+            let (status, roundtrip_mismatch) = if !ldh_ok {
+                (NotALabel, false)
+            } else if payload.is_empty() {
+                (Unconvertible, false)
+            } else if !punycode::encodes_to(u.as_slice(), payload) || text.is_ascii() {
+                // Not the canonical encoding, or a "fake" all-ASCII A-label.
+                (NonCanonical, true)
+            } else if non_nfc || validate_nfc_u_label(text).is_err() {
+                (DisallowedContent, false)
+            } else {
+                (Valid, false)
+            };
+            LabelInfo { status, non_nfc, roundtrip_mismatch }
+        })
     }
 }
 
@@ -328,8 +387,8 @@ pub struct LintContext<'c> {
     /// semantics for the classify stage; the first-matching-OID scan
     /// preserves `TbsCertificate::extension` semantics for the lints.
     parsed_exts: OnceCell<Vec<Option<ParsedExtension>>>,
-    subject: OnceCell<Vec<DnAttr>>,
-    issuer: OnceCell<Vec<DnAttr>>,
+    subject: OnceCell<DnCache>,
+    issuer: OnceCell<DnCache>,
     san_dns: OnceCell<Vec<CachedVal>>,
     san_rfc822: OnceCell<Vec<CachedVal>>,
     san_uri: OnceCell<Vec<CachedVal>>,
@@ -341,7 +400,9 @@ pub struct LintContext<'c> {
     crldp_uris: OnceCell<Vec<CachedVal>>,
     explicit_texts: OnceCell<Vec<CachedVal>>,
     cps_values: OnceCell<Vec<CachedVal>>,
-    labels: RefCell<HashMap<Box<str>, LabelInfo>>,
+    /// Label verdicts keyed by label text: a certificate carries about one
+    /// ACE label, so a short vector beats hashing.
+    labels: RefCell<Vec<(Box<str>, LabelInfo)>>,
     /// Evidence-mode state; `None` on the survey hot path.
     evidence: Option<EvidenceState>,
 }
@@ -393,7 +454,7 @@ impl<'c> LintContext<'c> {
             crldp_uris: OnceCell::new(),
             explicit_texts: OnceCell::new(),
             cps_values: OnceCell::new(),
-            labels: RefCell::new(HashMap::new()),
+            labels: RefCell::new(Vec::new()),
             evidence,
         }
     }
@@ -474,7 +535,7 @@ impl<'c> LintContext<'c> {
 
     /// Number of attributes of type `oid` in a DN (duplicate detection).
     pub fn count_of(&self, which: Which, oid: &Oid) -> usize {
-        self.dn_attrs(which).iter().filter(|a| &a.oid == oid).count()
+        self.attr_vals(which, oid).count()
     }
 
     /// This context's cache hit/miss tallies (flushed to telemetry on drop).
@@ -628,45 +689,58 @@ impl<'c> LintContext<'c> {
 
     /// All attributes of a DN in wire order, with cached values.
     pub fn dn_attrs(&self, which: Which) -> &[DnAttr] {
+        &self.dn_cache(which).attrs
+    }
+
+    fn dn_cache(&self, which: Which) -> &DnCache {
         let cell = match which {
             Which::Subject => &self.subject,
             Which::Issuer => &self.issuer,
         };
         self.stats.dn_text.touch(cell.get().is_some());
-        cell.get_or_init(|| match self.source {
-            Source::Owned(cert) => {
-                let dn = match which {
-                    Which::Subject => &cert.tbs.subject,
-                    Which::Issuer => &cert.tbs.issuer,
-                };
-                dn.attributes()
-                    .enumerate()
-                    .map(|(i, a)| DnAttr {
-                        oid: a.oid.clone(),
-                        val: self.cached_dn(a.value.clone(), which, i),
-                    })
-                    .collect()
-            }
-            Source::View(view) => {
-                let dn = match which {
-                    Which::Subject => &view.subject,
-                    Which::Issuer => &view.issuer,
-                };
-                dn.attributes()
-                    .enumerate()
-                    .map(|(i, a)| DnAttr {
-                        oid: a.oid.clone(),
-                        val: self.cached_dn(a.raw_value(), which, i),
-                    })
-                    .collect()
-            }
+        cell.get_or_init(|| {
+            DnCache::new(match self.source {
+                Source::Owned(cert) => {
+                    let dn = match which {
+                        Which::Subject => &cert.tbs.subject,
+                        Which::Issuer => &cert.tbs.issuer,
+                    };
+                    dn.attributes()
+                        .enumerate()
+                        .map(|(i, a)| DnAttr {
+                            oid: a.oid.clone(),
+                            val: self.cached_dn(a.value.clone(), which, i),
+                        })
+                        .collect()
+                }
+                Source::View(view) => {
+                    let dn = match which {
+                        Which::Subject => &view.subject,
+                        Which::Issuer => &view.issuer,
+                    };
+                    dn.attributes()
+                        .enumerate()
+                        .map(|(i, a)| DnAttr {
+                            oid: a.oid.clone(),
+                            val: self.cached_dn(a.raw_value(), which, i),
+                        })
+                        .collect()
+                }
+            })
         })
     }
 
-    /// Cached values of one attribute type, in wire order.
+    /// Cached values of one attribute type, in wire order. An absent X.520
+    /// type answers from the DN's presence mask without a scan; `oid` is
+    /// never cloned.
     pub fn attr_vals(&self, which: Which, oid: &Oid) -> impl Iterator<Item = &CachedVal> {
-        let oid = oid.clone();
-        self.dn_attrs(which).iter().filter(move |a| a.oid == oid).map(|a| &a.val)
+        let dn = self.dn_cache(which);
+        let first = if dn.may_hold(oid) { dn.attrs.iter().position(|a| a.oid == *oid) } else { None };
+        let rest = first.and_then(|i| dn.attrs.get(i..)).unwrap_or_default();
+        // Match against the first hit's own type, borrowed from the cache,
+        // so the iterator does not borrow `oid`.
+        let key = rest.first().map(|a| &a.oid);
+        rest.iter().filter(move |a| Some(&a.oid) == key).map(|a| &a.val)
     }
 
     // --- Extensions -----------------------------------------------------
@@ -891,19 +965,40 @@ impl<'c> LintContext<'c> {
     /// the whole analysis (the same label typically appears in the CN, the
     /// SAN, and the classify stage).
     pub fn label_info(&self, label: &str) -> LabelInfo {
-        if let Some(&info) = self.labels.borrow().get(label) {
+        let cached = self.labels.borrow().iter().find(|(k, _)| **k == *label).map(|&(_, i)| i);
+        if let Some(info) = cached {
             self.stats.punycode.touch(true);
             return info;
         }
         self.stats.punycode.touch(false);
         let info = LabelInfo::compute(label);
-        self.labels.borrow_mut().insert(Box::from(label), info);
+        let mut labels = self.labels.borrow_mut();
+        if labels.len() < LABEL_MAP_CAP {
+            labels.push((Box::from(label), info));
+        }
         info
     }
 
     /// Does any ACE-prefixed label of this DNSName text satisfy `pred`?
     pub fn any_ace_label(&self, text: &str, pred: impl Fn(LabelInfo) -> bool) -> bool {
         text.split('.').filter(|l| has_ace_prefix(l)).any(|l| pred(self.label_info(l)))
+    }
+
+    /// The verdicts of a DNSName value's ACE-prefixed labels, in order:
+    /// computed on the first ask through the shared label map, then stored
+    /// on the value. Empty when the value is undecodable or has no ACE
+    /// label. `ace_labels(v).iter().any(pred)` equals
+    /// `any_ace_label(wire text, pred)`.
+    pub fn ace_labels<'v>(&self, v: &'v CachedVal) -> &'v [LabelInfo] {
+        v.touch_origin();
+        v.ace.get_or_init(|| match v.wire_text() {
+            Some(text) => text
+                .split('.')
+                .filter(|l| has_ace_prefix(l))
+                .map(|l| self.label_info(l))
+                .collect(),
+            None => Vec::new(),
+        })
     }
 }
 
@@ -943,6 +1038,7 @@ impl Drop for LintContext<'_> {
 mod tests {
     use super::*;
     use unicert_asn1::DateTime;
+    use unicert_idna::label::LabelError;
     use unicert_x509::{CertificateBuilder, SimKey};
 
     fn builder() -> CertificateBuilder {

@@ -14,10 +14,10 @@
 //!   accessor against them.
 
 use crate::context::{CachedVal, LintContext};
+use crate::facts::CharClasses;
 use crate::framework::LintStatus;
 use unicert_asn1::oid::known;
 use unicert_asn1::{Oid, StringKind};
-use unicert_unicode::classify;
 use unicert_x509::extensions::{ParsedExtension, PolicyQualifier};
 use unicert_x509::{Certificate, DistinguishedName, GeneralName, RawValue};
 
@@ -199,7 +199,8 @@ pub fn explicit_texts(cert: &Certificate) -> Vec<RawValue> {
         .collect()
 }
 
-/// Is the text free of the given character class?
+/// Is the text free of every character satisfying `bad`? The reference
+/// definition of [`free_of_class`], which the checks use.
 pub fn free_of(v: &CachedVal, bad: impl Fn(char) -> bool) -> bool {
     match v.wire_text() {
         Some(t) => !t.chars().any(&bad),
@@ -209,13 +210,15 @@ pub fn free_of(v: &CachedVal, bad: impl Fn(char) -> bool) -> bool {
     }
 }
 
+/// Is the text free of every class in `bad`? Reads the value's stored
+/// [`CharClasses`] instead of scanning; undecodable bytes pass, as in
+/// [`free_of`].
+pub fn free_of_class(v: &CachedVal, bad: CharClasses) -> bool {
+    !v.char_classes().intersects(bad)
+}
+
 /// The paper's printable-characters requirement for Subject DNs: every
 /// character must be outside C0/C1/DEL.
 pub fn has_no_control_chars(v: &CachedVal) -> bool {
-    free_of(v, classify::is_control)
-}
-
-/// DNSName repertoire: `[a-zA-Z0-9.*-]` only.
-pub fn is_dns_repertoire(text: &str) -> bool {
-    text.chars().all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '-' | '*'))
+    free_of_class(v, CharClasses::CONTROL)
 }

@@ -27,6 +27,7 @@
 
 pub mod catalog;
 pub mod context;
+pub mod facts;
 pub mod framework;
 pub mod helpers;
 pub mod profiles;

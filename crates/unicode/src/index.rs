@@ -7,8 +7,14 @@
 //! [`ChunkIndex`] replaces that with one direct array load: code points are
 //! grouped into 256-wide chunks (`cp >> 8`), and the index records, per
 //! chunk, the first table row that could intersect it. A lookup then scans
-//! the handful of rows crossing its chunk — near-constant work, and the
-//! common (Basic Latin) chunk resolves on the first row.
+//! the rows crossing its chunk. That is near-constant work for sparse
+//! tables, but not for every chunk: the blocks table resolves Basic Latin
+//! on its first row, while the general-category table splits ASCII into
+//! many rows (`a`, in `0x61..=0x7A`, is the 24th), so an ASCII letter
+//! costs a longer scan than a CJK ideograph, whose chunk starts on the
+//! row that holds it. Hot callers that see mostly ASCII answer it before
+//! the lookup (`idna::bidi::bidi_class`, `nfc::combining_class`); the
+//! one-trie item in ROADMAP.md replaces this index with O(1) lookups.
 //!
 //! Built lazily, once per table, behind a `OnceLock` in the consuming
 //! module.
