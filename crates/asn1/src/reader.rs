@@ -166,7 +166,10 @@ pub struct Tlv<'a> {
 }
 
 impl<'a> Tlv<'a> {
-    /// A reader over this element's contents (for constructed types).
+    /// A fresh reader over this element's contents (for constructed
+    /// types). It starts at depth 0 and charges no budget; a parse that
+    /// must charge its nested elements reads them through
+    /// [`Reader::read_nested`] or [`Reader::read_optional_nested`].
     pub fn contents(&self) -> Reader<'a> {
         Reader::new(self.value)
     }
@@ -434,6 +437,22 @@ impl<'a> Reader<'a> {
         let out = f(&mut inner)?;
         inner.finish()?;
         Ok(out)
+    }
+
+    /// [`Reader::read_nested`] for an OPTIONAL element: parse the next
+    /// element's contents with `f` when it carries `tag`, else consume
+    /// nothing and return `None`. The contents are read at this reader's
+    /// depth plus one and charged to its budget.
+    pub fn read_optional_nested<T>(
+        &mut self,
+        tag: Tag,
+        f: impl FnOnce(&mut Reader<'a>) -> Result<T>,
+    ) -> Result<Option<T>> {
+        if self.peek_tag() == Some(tag) {
+            self.read_nested(tag, f).map(Some)
+        } else {
+            Ok(None)
+        }
     }
 
     /// Collect every remaining element at this level.

@@ -10,6 +10,8 @@
 //!   test-certificate generator (§3.2) exists to produce strings that violate
 //!   these sets.
 
+use std::borrow::Cow;
+
 use crate::error::{Error, Result};
 use crate::tag::{universal, Tag};
 
@@ -121,56 +123,82 @@ impl StringKind {
     /// Strictly decode content octets: the wire format must be well-formed
     /// **and** every character must be in the standard set.
     pub fn decode_strict(self, bytes: &[u8]) -> Result<String> {
-        let s = self.decode_wire(bytes)?;
-        if let Some(bad) = s.chars().find(|&c| !self.allows_char(c)) {
-            return Err(Error::CharacterOutOfRange { kind: self, ch: bad as u32 });
-        }
-        Ok(s)
+        let s = self.decode_wire_borrowed(bytes)?;
+        self.check_charset(&s)?;
+        Ok(s.into_owned())
     }
 
     /// Decode only the wire format (UTF-8 validity, UCS-2 pairing, …),
     /// without the character-set check. This is what "over-tolerant"
     /// implementations do (§5.1).
     pub fn decode_wire(self, bytes: &[u8]) -> Result<String> {
+        self.decode_wire_borrowed(bytes).map(Cow::into_owned)
+    }
+
+    /// [`StringKind::decode_wire`] without a copy when the content octets
+    /// already are the text: valid UTF-8 under UTF8String, or ASCII under
+    /// a single-byte kind. Other values decode into a new `String`.
+    pub fn decode_wire_borrowed(self, bytes: &[u8]) -> Result<Cow<'_, str>> {
+        if let Some(text) = self.as_wire_text(bytes) {
+            return Ok(Cow::Borrowed(text));
+        }
+        if self == StringKind::Utf8 {
+            return Err(Error::MalformedString { kind: self });
+        }
+        // The fixed-width kinds. Under a single-byte kind any byte
+        // "decodes": values >= 0x80 are out of the 7-bit set and fail only
+        // the charset check, since the wire itself is unambiguous (Latin-1
+        // widening).
+        let mut text = String::with_capacity(bytes.len());
+        for c in self.units(bytes)? {
+            text.push(c?);
+        }
+        Ok(Cow::Owned(text))
+    }
+
+    /// The content octets as their own wire text, when they are: valid
+    /// UTF-8 under UTF8String, or ASCII under a single-byte kind (each
+    /// octet widens to the scalar of the same value).
+    pub fn as_wire_text(self, bytes: &[u8]) -> Option<&str> {
         match self {
-            StringKind::Utf8 => std::str::from_utf8(bytes)
-                .map(str::to_owned)
-                .map_err(|_| Error::MalformedString { kind: self }),
-            StringKind::Numeric
-            | StringKind::Printable
-            | StringKind::Ia5
-            | StringKind::Visible => {
-                // Single-byte types: any byte "decodes"; values >= 0x80 are
-                // out of the 7-bit set and will fail the charset check, but
-                // the wire itself is unambiguous (Latin-1 widening).
-                Ok(bytes.iter().map(|&b| b as char).collect())
-            }
-            StringKind::Teletex => Ok(bytes.iter().map(|&b| b as char).collect()),
-            StringKind::Universal => {
-                if bytes.len() % 4 != 0 {
-                    return Err(Error::MalformedString { kind: self });
-                }
-                bytes
-                    .chunks_exact(4)
-                    .map(|c| {
-                        let v = u32::from_be_bytes([c[0], c[1], c[2], c[3]]);
-                        char::from_u32(v).ok_or(Error::MalformedString { kind: self })
-                    })
-                    .collect()
-            }
-            StringKind::Bmp => {
-                if bytes.len() % 2 != 0 {
-                    return Err(Error::MalformedString { kind: self });
-                }
-                bytes
-                    .chunks_exact(2)
-                    .map(|c| {
-                        let v = u16::from_be_bytes([c[0], c[1]]) as u32;
-                        // UCS-2: surrogate code units are not characters.
-                        char::from_u32(v).ok_or(Error::MalformedString { kind: self })
-                    })
-                    .collect()
-            }
+            StringKind::Utf8 => std::str::from_utf8(bytes).ok(),
+            _ if self.unit_width() == 1 && bytes.is_ascii() => std::str::from_utf8(bytes).ok(),
+            _ => None,
+        }
+    }
+
+    /// Octets per code unit of the fixed-width wire formats (UTF-8 is
+    /// variable and reported as 1).
+    fn unit_width(self) -> usize {
+        match self {
+            StringKind::Universal => 4,
+            StringKind::Bmp => 2,
+            _ => 1,
+        }
+    }
+
+    /// The scalars of a fixed-width value, one per big-endian code unit
+    /// (Latin-1 for the single-byte kinds, UCS-2, UCS-4). Fails up front
+    /// when the length is not a whole number of units; a unit that is no
+    /// scalar (a UCS-2 surrogate, a UCS-4 value past U+10FFFF) yields an
+    /// error in place.
+    fn units(self, bytes: &[u8]) -> Result<impl Iterator<Item = Result<char>> + '_> {
+        let width = self.unit_width();
+        if bytes.len() % width != 0 {
+            return Err(Error::MalformedString { kind: self });
+        }
+        Ok(bytes.chunks_exact(width).map(move |unit| {
+            let v = unit.iter().fold(0u32, |v, &b| v << 8 | u32::from(b));
+            char::from_u32(v).ok_or(Error::MalformedString { kind: self })
+        }))
+    }
+
+    /// The first character of `text` outside this kind's standard set, as
+    /// [`Error::CharacterOutOfRange`].
+    fn check_charset(self, text: &str) -> Result<()> {
+        match text.chars().find(|&c| !self.allows_char(c)) {
+            Some(bad) => Err(Error::CharacterOutOfRange { kind: self, ch: bad as u32 }),
+            None => Ok(()),
         }
     }
 
@@ -220,7 +248,7 @@ pub fn is_printable_string_char(ch: char) -> bool {
 
 /// Validate `bytes` as a fully conforming value of `kind`.
 pub fn validate(kind: StringKind, bytes: &[u8]) -> Result<()> {
-    kind.decode_strict(bytes).map(|_| ())
+    kind.check_charset(&kind.decode_wire_borrowed(bytes)?)
 }
 
 #[cfg(test)]

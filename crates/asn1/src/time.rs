@@ -123,11 +123,7 @@ impl DateTime {
     /// RFC 5280 requires seconds and the `Z` suffix; two-digit years map to
     /// 1950–2049.
     pub fn from_utc_time(bytes: &[u8]) -> Result<DateTime> {
-        let s = std::str::from_utf8(bytes).map_err(|_| Error::InvalidTime)?;
-        if s.len() != 13 || !s.ends_with('Z') {
-            return Err(Error::InvalidTime);
-        }
-        let d = digits(&s[..12])?;
+        let d: [i32; 12] = digits(bytes)?;
         let yy = (d[0] * 10 + d[1]) as i32;
         let year = if yy >= 50 { 1900 + yy } else { 2000 + yy };
         DateTime::new(
@@ -142,11 +138,7 @@ impl DateTime {
 
     /// Parse GeneralizedTime content octets (`YYYYMMDDHHMMSSZ`).
     pub fn from_generalized(bytes: &[u8]) -> Result<DateTime> {
-        let s = std::str::from_utf8(bytes).map_err(|_| Error::InvalidTime)?;
-        if s.len() != 15 || !s.ends_with('Z') {
-            return Err(Error::InvalidTime);
-        }
-        let d = digits(&s[..14])?;
+        let d: [i32; 14] = digits(bytes)?;
         let year = (d[0] as i32) * 1000 + (d[1] as i32) * 100 + (d[2] as i32) * 10 + d[3] as i32;
         DateTime::new(
             year,
@@ -190,16 +182,21 @@ impl fmt::Display for DateTime {
     }
 }
 
-fn digits(s: &str) -> Result<Vec<i32>> {
-    s.bytes()
-        .map(|b| {
-            if b.is_ascii_digit() {
-                Ok((b - b'0') as i32)
-            } else {
-                Err(Error::InvalidTime)
-            }
-        })
-        .collect()
+/// The `N` decimal digits of a `Z`-terminated time of exactly `N + 1`
+/// octets, parsed into a fixed array (no heap buffer per time value).
+fn digits<const N: usize>(bytes: &[u8]) -> Result<[i32; N]> {
+    let body = match bytes.split_last() {
+        Some((&b'Z', body)) if body.len() == N => body,
+        _ => return Err(Error::InvalidTime),
+    };
+    let mut d = [0i32; N];
+    for (slot, &b) in d.iter_mut().zip(body) {
+        if !b.is_ascii_digit() {
+            return Err(Error::InvalidTime);
+        }
+        *slot = i32::from(b - b'0');
+    }
+    Ok(d)
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@ use unicert_asn1::oid::known;
 
 use unicert_lint::helpers::Which;
 use unicert_lint::LintContext;
+use unicert_x509::value::wire_text;
 use unicert_x509::{Certificate, GeneralName};
 
 /// Classification of one certificate.
@@ -31,10 +32,29 @@ impl UnicertClass {
     }
 }
 
-fn value_has_unicode(bytes: &[u8]) -> bool {
+pub(crate) fn value_has_unicode(bytes: &[u8]) -> bool {
     // Raw byte view: anything outside 0x20..=0x7E counts (§2.3 applies to
     // contents regardless of decodability).
     bytes.iter().any(|&b| !(0x20..=0x7E).contains(&b))
+}
+
+/// `(has_unicode, has_idn)` of one GeneralName: its raw bytes, and its wire
+/// text read in place. A DNSName is an IDN when the whole name is; an
+/// RFC822Name or URI when some `@`/`/`-separated part is.
+fn classify_name(name: &GeneralName) -> (bool, bool) {
+    let (v, split) = match name {
+        GeneralName::DnsName(v) => (v, false),
+        GeneralName::Rfc822Name(v) | GeneralName::Uri(v) => (v, true),
+        _ => return (false, false),
+    };
+    let idn = wire_text(v.tag_number, &v.bytes).is_ok_and(|text| {
+        if split {
+            text.split(['@', '/']).any(unicert_idna::is_idn_domain)
+        } else {
+            unicert_idna::is_idn_domain(&text)
+        }
+    });
+    (value_has_unicode(&v.bytes), idn)
 }
 
 /// Classify a certificate.
@@ -66,13 +86,18 @@ pub fn classify_ctx(ctx: &LintContext<'_>) -> UnicertClass {
     // All extensions (duplicates included), parse results memoized in ctx.
     for parsed in ctx.parsed_extensions().iter().flatten() {
         use unicert_x509::ParsedExtension::*;
-        let names: Vec<&GeneralName> = match parsed {
-            SubjectAltName(n) | IssuerAltName(n) => n.iter().collect(),
+        let mut visit = |n: &GeneralName| {
+            let (unicode, idn) = classify_name(n);
+            has_unicode |= unicode;
+            has_idn |= idn;
+        };
+        match parsed {
+            SubjectAltName(n) | IssuerAltName(n) => n.iter().for_each(&mut visit),
             CrlDistributionPoints(dps) => {
-                dps.iter().flat_map(|d| d.full_names.iter()).collect()
+                dps.iter().flat_map(|d| d.full_names.iter()).for_each(&mut visit)
             }
             AuthorityInfoAccess(ads) | SubjectInfoAccess(ads) => {
-                ads.iter().map(|a| &a.location).collect()
+                ads.iter().map(|a| &a.location).for_each(&mut visit)
             }
             CertificatePolicies(ps) => {
                 for p in ps {
@@ -87,34 +112,8 @@ pub fn classify_ctx(ctx: &LintContext<'_>) -> UnicertClass {
                         }
                     }
                 }
-                Vec::new()
             }
-            _ => Vec::new(),
-        };
-        for n in names {
-            match n {
-                GeneralName::DnsName(v) => {
-                    if value_has_unicode(&v.bytes) {
-                        has_unicode = true;
-                    }
-                    if let Ok(text) = v.decode_wire() {
-                        if unicert_idna::is_idn_domain(&text) {
-                            has_idn = true;
-                        }
-                    }
-                }
-                GeneralName::Rfc822Name(v) | GeneralName::Uri(v) => {
-                    if value_has_unicode(&v.bytes) {
-                        has_unicode = true;
-                    }
-                    if let Ok(text) = v.decode_wire() {
-                        if text.split(['@', '/']).any(unicert_idna::is_idn_domain) {
-                            has_idn = true;
-                        }
-                    }
-                }
-                _ => {}
-            }
+            _ => {}
         }
     }
     UnicertClass { has_unicode, has_idn }

@@ -97,7 +97,7 @@ pub const STAGE_LABELS: [&str; 5] =
     ["parse", "classify", "lint", "field_matrix", "store"];
 
 /// The closed set of [`SurveyReport::field_matrix`] field labels (Figure 4
-/// columns), in the order `field_matrix_marks` can emit them.
+/// columns); `field_matrix_marks` counts marks per label in this order.
 pub const FIELD_LABELS: [&str; 9] =
     ["CN", "O", "OU", "L", "ST", "STREET", "serialNumber", "SAN", "CP"];
 
@@ -668,21 +668,20 @@ fn accumulate_ctx(
         ys.noncompliant += 1;
     }
 
-    // Table 2.
-    let is_ = report
-        .by_issuer
-        .entry(meta.issuer_org.clone())
-        .or_insert_with(|| IssuerStats {
-            trust: meta.trust,
-            total: 0,
-            noncompliant: 0,
-            recent_noncompliant: 0,
-        });
-    is_.total += 1;
-    if nc {
-        is_.noncompliant += 1;
-        if recent {
-            is_.recent_noncompliant += 1;
+    // Table 2. The issuer's name is copied only when it is new to the
+    // report.
+    if !report.by_issuer.contains_key(&meta.issuer_org) {
+        let stats =
+            IssuerStats { trust: meta.trust, total: 0, noncompliant: 0, recent_noncompliant: 0 };
+        report.by_issuer.insert(meta.issuer_org.clone(), stats);
+    }
+    if let Some(is_) = report.by_issuer.get_mut(&meta.issuer_org) {
+        is_.total += 1;
+        if nc {
+            is_.noncompliant += 1;
+            if recent {
+                is_.recent_noncompliant += 1;
+            }
         }
     }
 
@@ -1153,76 +1152,66 @@ fn merge_in_order(shards: Vec<SurveyReport>) -> SurveyReport {
     merged
 }
 
-/// Field labels of the certificate carrying internationalized content —
-/// the pure half of the Figure 4 matrix, computed before any report
-/// mutation so a panic here quarantines the certificate without leaving a
-/// half-applied row behind. Duplicate labels are preserved (one per
-/// attribute). Reads exclusively through the context so the owned and
-/// borrowed survey paths share it.
-fn field_matrix_marks(ctx: &unicert_lint::LintContext<'_>) -> Vec<&'static str> {
+/// How often each [`FIELD_LABELS`] field of one certificate carries
+/// internationalized content, indexed like [`FIELD_LABELS`].
+type FieldMarks = [usize; FIELD_LABELS.len()];
+
+/// The [`FIELD_LABELS`] index of a subject attribute type's Figure 4
+/// field, matched on its X.520 `2.5.4.n` arc.
+fn subject_field(oid: &unicert_asn1::Oid) -> Option<usize> {
+    match oid.as_der_value() {
+        [0x55, 0x04, 3] => Some(0),  // CN
+        [0x55, 0x04, 10] => Some(1), // O
+        [0x55, 0x04, 11] => Some(2), // OU
+        [0x55, 0x04, 7] => Some(3),  // L
+        [0x55, 0x04, 8] => Some(4),  // ST
+        [0x55, 0x04, 9] => Some(5),  // STREET
+        [0x55, 0x04, 5] => Some(6),  // serialNumber
+        _ => None,
+    }
+}
+
+/// Per-field counts of the certificate's internationalized content — the
+/// pure half of the Figure 4 matrix, computed before any report mutation
+/// so a panic here quarantines the certificate without leaving a
+/// half-applied row behind. Repeated subject attributes count once each.
+/// Reads exclusively through the context so the owned and borrowed survey
+/// paths share it.
+fn field_matrix_marks(ctx: &unicert_lint::LintContext<'_>) -> FieldMarks {
     use unicert_asn1::oid::known;
     use unicert_lint::helpers::Which;
-    let mut marks = Vec::new();
-    let field_label = |oid: &unicert_asn1::Oid| -> Option<&'static str> {
-        if *oid == known::common_name() {
-            Some("CN")
-        } else if *oid == known::organization_name() {
-            Some("O")
-        } else if *oid == known::organizational_unit() {
-            Some("OU")
-        } else if *oid == known::locality_name() {
-            Some("L")
-        } else if *oid == known::state_or_province() {
-            Some("ST")
-        } else if *oid == known::street_address() {
-            Some("STREET")
-        } else if *oid == known::serial_number() {
-            Some("serialNumber")
-        } else {
-            None
-        }
-    };
+    let mut marks = FieldMarks::default();
     for attr in ctx.dn_attrs(Which::Subject) {
-        if let Some(label) = field_label(&attr.oid) {
-            if attr.val.bytes().iter().any(|&b| !(0x20..=0x7E).contains(&b)) {
-                marks.push(label);
+        if let Some(i) = subject_field(&attr.oid) {
+            if classify::value_has_unicode(attr.val.bytes()) {
+                marks[i] += 1; // analysis:allow(slice_index) subject_field yields FIELD_LABELS indexes 0..7
             }
         }
     }
-    if ctx.san_dns().iter().any(|v| {
-        let h = v.raw().display_lossy();
-        unicert_idna::is_idn_domain(&h) || !h.is_ascii()
+    let idn = |text: &str| unicert_idna::is_idn_domain(text) || !text.is_ascii();
+    // An undecodable value (never an IA5String) reads as its lossy text.
+    if ctx.san_dns().iter().any(|v| match v.wire_text() {
+        Some(text) => idn(text),
+        None => idn(&v.raw().display_lossy()),
     }) {
-        marks.push("SAN");
+        marks[7] += 1; // SAN
     }
     if ctx.has_extension(&known::certificate_policies()) {
         // explicitText with non-ASCII or non-UTF8 encodings.
-        if ctx
-            .explicit_texts()
-            .iter()
-            .any(|t| t.bytes().iter().any(|&b| !(0x20..=0x7E).contains(&b)))
-        {
-            marks.push("CP");
+        if ctx.explicit_texts().iter().any(|t| classify::value_has_unicode(t.bytes())) {
+            marks[8] += 1; // CP
         }
     }
     marks
 }
 
 /// Apply pre-computed [`field_matrix_marks`] to the Figure 4 matrix.
-fn apply_field_matrix(
-    report: &mut SurveyReport,
-    issuer: &str,
-    nc: bool,
-    marks: &[&'static str],
-) {
-    for &field in marks {
-        let cell = report
-            .field_matrix
-            .entry((issuer.to_string(), field))
-            .or_default();
-        cell.0 += 1;
+fn apply_field_matrix(report: &mut SurveyReport, issuer: &str, nc: bool, marks: &FieldMarks) {
+    for (&field, &count) in FIELD_LABELS.iter().zip(marks).filter(|(_, &c)| c > 0) {
+        let cell = report.field_matrix.entry((issuer.to_string(), field)).or_default();
+        cell.0 += count;
         if nc {
-            cell.1 += 1;
+            cell.1 += count;
         }
     }
 }
@@ -1318,6 +1307,25 @@ mod tests {
         // Some issuer must show Unicode in O.
         assert!(r.field_matrix.keys().any(|(_, f)| *f == "O"));
         assert!(r.field_matrix.keys().any(|(_, f)| *f == "SAN"));
+    }
+
+    #[test]
+    fn subject_fields_index_their_labels() {
+        use unicert_asn1::oid::known;
+        let fields = [
+            (known::common_name(), "CN"),
+            (known::organization_name(), "O"),
+            (known::organizational_unit(), "OU"),
+            (known::locality_name(), "L"),
+            (known::state_or_province(), "ST"),
+            (known::street_address(), "STREET"),
+            (known::serial_number(), "serialNumber"),
+        ];
+        for (oid, label) in fields {
+            assert_eq!(subject_field(&oid).map(|i| FIELD_LABELS[i]), Some(label));
+        }
+        assert_eq!(subject_field(&known::country_name()), None);
+        assert_eq!(FIELD_LABELS[7..], ["SAN", "CP"]);
     }
 
     /// Does the injected chaos lint panic on this certificate?

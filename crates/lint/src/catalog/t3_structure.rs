@@ -4,19 +4,51 @@ use super::lint;
 use crate::framework::{Lint, LintStatus, NoncomplianceType::InvalidStructure, Severity::*, Source::*};
 use crate::helpers::{self, Which};
 use std::borrow::Cow;
+use std::net::Ipv4Addr;
 use unicert_asn1::oid::known;
+use unicert_asn1::StringKind;
+use unicert_x509::value::lossy_text;
 use unicert_x509::GeneralName;
 
 /// A text's case-insensitive comparison key: ASCII text as is (compared
 /// with `eq_ignore_ascii_case`), anything else lowercased. Two texts have
 /// equal `to_lowercase` forms exactly when their keys are equal ignoring
 /// ASCII case, so only non-ASCII text pays for a new `String`.
-fn case_key(text: String) -> String {
+fn case_key(text: &str) -> Cow<'_, str> {
     if text.is_ascii() {
-        text
+        Cow::Borrowed(text)
     } else {
-        text.to_lowercase()
+        Cow::Owned(text.to_lowercase())
     }
+}
+
+/// The content octets of a DNSName, RFC822Name or URI entry when they are
+/// its ASCII wire text, which is then its own comparison key.
+fn ascii_san_text(name: &GeneralName) -> Option<&str> {
+    match name {
+        GeneralName::DnsName(v) | GeneralName::Rfc822Name(v) | GeneralName::Uri(v) => {
+            StringKind::from_tag_number(v.tag_number)
+                .and_then(|k| k.as_wire_text(&v.bytes))
+                .filter(|t| t.is_ascii())
+        }
+        _ => None,
+    }
+}
+
+/// The lowercased lossy texts of the DNSName, RFC822Name and URI entries
+/// that [`ascii_san_text`] does not lend. Built once for all CNs; a SAN
+/// of ASCII entries, the usual case, allocates nothing.
+fn lowered_san_texts(san: &[GeneralName]) -> Vec<String> {
+    san.iter()
+        .filter_map(|n| match n {
+            GeneralName::DnsName(v) | GeneralName::Rfc822Name(v) | GeneralName::Uri(v)
+                if ascii_san_text(n).is_none() =>
+            {
+                Some(lossy_text(v.tag_number, &v.bytes).to_lowercase())
+            }
+            _ => None,
+        })
+        .collect()
 }
 
 /// The 2 T3c lints.
@@ -36,22 +68,18 @@ pub fn lints() -> Vec<Lint> {
                 if cns.peek().is_none() {
                     return LintStatus::NotApplicable;
                 }
-                let mut san_keys: Vec<String> = Vec::new();
-                for n in ctx.san() {
-                    match n {
-                        GeneralName::DnsName(v) | GeneralName::Rfc822Name(v) | GeneralName::Uri(v) => {
-                            san_keys.push(case_key(v.display_lossy()))
-                        }
-                        GeneralName::IpAddress(b) if b.len() == 4 => {
-                            san_keys.push(format!("{}.{}.{}.{}", b[0], b[1], b[2], b[3]))
-                        }
-                        _ => {}
-                    }
-                }
+                let san = ctx.san();
+                let lowered = lowered_san_texts(san);
                 let all_found = cns.all(|cn| {
                     helpers::lenient_text(cn).is_some_and(|t| {
-                        let key = if t.is_ascii() { Cow::Borrowed(t) } else { Cow::Owned(t.to_lowercase()) };
-                        san_keys.iter().any(|s| s.eq_ignore_ascii_case(&key))
+                        let key = case_key(t);
+                        // An IPv4 entry matches its dotted quad, the only
+                        // form `Ipv4Addr` parses (no leading zeros).
+                        let ip = key.parse::<Ipv4Addr>().ok();
+                        san.iter().any(|n| match n {
+                            GeneralName::IpAddress(b) => ip.is_some_and(|ip| ip.octets()[..] == b[..]),
+                            _ => ascii_san_text(n).is_some_and(|s| s.eq_ignore_ascii_case(&key)),
+                        }) || lowered.iter().any(|s| s.eq_ignore_ascii_case(&key))
                     })
                 });
                 if all_found {
@@ -91,8 +119,8 @@ pub fn lints() -> Vec<Lint> {
 mod tests {
     use super::*;
     use crate::context::LintContext;
-    use unicert_asn1::{DateTime, StringKind};
-    use unicert_x509::{CertificateBuilder, SimKey};
+    use unicert_asn1::DateTime;
+    use unicert_x509::{CertificateBuilder, RawValue, SimKey};
 
     fn run_one(name: &str, cert: &unicert_x509::Certificate) -> LintStatus {
         let lints = lints();
@@ -123,6 +151,57 @@ mod tests {
         // CN present but no SAN at all.
         let cert = builder().subject_cn("nosan.example").build_signed(&SimKey::from_seed("ca"));
         assert_eq!(run_one("w_cab_subject_common_name_not_in_san", &cert), LintStatus::Violation);
+    }
+
+    #[test]
+    fn cn_not_in_san_checks_every_cn() {
+        let lint = "w_cab_subject_common_name_not_in_san";
+        let both = builder().subject_cn("a.example").subject_cn("B.example");
+        let cert = both.clone().add_dns_san("b.example").add_dns_san("a.example");
+        assert_eq!(run_one(lint, &cert.build_signed(&SimKey::from_seed("ca"))), LintStatus::Pass);
+        let cert = both.add_dns_san("a.example").add_dns_san("c.example");
+        assert_eq!(run_one(lint, &cert.build_signed(&SimKey::from_seed("ca"))), LintStatus::Violation);
+
+        // Non-ASCII and IPv4 entries, matched by several CNs: a Latin-1
+        // IA5 DNSName lowercases like the CN, an address matches only its
+        // dotted quad.
+        let san = builder()
+            .add_san(GeneralName::DnsName(RawValue::from_raw(StringKind::Ia5, b"b\xfccher.example")))
+            .add_san(GeneralName::IpAddress(vec![192, 0, 2, 1]))
+            .add_dns_san("ok.example");
+        for (cns, want) in [
+            (&["B\u{dc}CHER.example", "192.0.2.1", "OK.example"][..], LintStatus::Pass),
+            (&["192.0.2.1", "b\u{fc}cher.example"][..], LintStatus::Pass),
+            (&["b\u{fc}cher.example", "192.0.2.01"][..], LintStatus::Violation),
+            (&["192.0.2.1", "bucher.example"][..], LintStatus::Violation),
+        ] {
+            let cert = cns.iter().fold(san.clone(), |b, cn| b.subject_cn(cn));
+            assert_eq!(run_one(lint, &cert.build_signed(&SimKey::from_seed("ca"))), want, "{cns:?}");
+        }
+    }
+
+    /// The lint parses a CN as an IPv4 address instead of rendering each
+    /// address entry: that accepts exactly the `{}.{}.{}.{}` rendering of
+    /// the four octets, leading zeros and signs included.
+    #[test]
+    fn ipv4_parse_accepts_exactly_the_dotted_quad() {
+        let parts = ["", "0", "00", "01", "1", "9", "10", "010", "99", "100", "255", "256", "0255", "1000", "+1", " 1", "a"];
+        let canonical = |p: &str| p.parse::<u8>().ok().filter(|v| v.to_string() == p);
+        for a in parts {
+            for b in parts {
+                for c in parts {
+                    for d in parts {
+                        let key = format!("{a}.{b}.{c}.{d}");
+                        let quad = [a, b, c, d].map(canonical);
+                        let want = quad.iter().all(Option::is_some).then(|| quad.map(|o| o.unwrap_or(0)));
+                        assert_eq!(key.parse::<Ipv4Addr>().ok().map(|ip| ip.octets()), want, "{key:?}");
+                    }
+                }
+            }
+        }
+        for key in ["1.2.3", "1.2.3.4.5", "1.2.3.4.", ".1.2.3.4", "1..2.3", "1.2.3.4 "] {
+            assert!(key.parse::<Ipv4Addr>().is_err(), "{key:?}");
+        }
     }
 
     #[test]

@@ -35,13 +35,14 @@ use crate::facts::{CharClasses, LabelShape, ValueFacts};
 use crate::framework::Evidence;
 use crate::helpers::Which;
 use unicert_asn1::oid::known;
-use unicert_asn1::{Oid, Span, StringKind};
+use unicert_asn1::{strings, Oid, Span, StringKind};
 use unicert_idna::label::{
     decode_payload, has_ace_prefix, validate_ldh, validate_nfc_u_label, ALabelStatus,
 };
 use unicert_idna::punycode;
 use unicert_unicode::nfc;
 use unicert_x509::extensions::{parse_extension_value, ParsedExtension, PolicyQualifier};
+use unicert_x509::value::{self, lossy_text};
 use unicert_x509::{
     CertSpans, CertView, Certificate, DistinguishedName, GeneralName, RawValue, Validity,
 };
@@ -145,17 +146,19 @@ struct EvidenceState {
 
 /// A string value with memoized decode results.
 ///
-/// Wraps the original [`RawValue`] (tag + bytes, untouched) and computes the
-/// wire decode, the strict decode verdict, the NFC verdict, the per-value
-/// facts ([`crate::facts`]) and the ACE-label verdicts at most once each,
-/// no matter how many lints ask. In evidence mode the value also
-/// carries its [`Origin`]; every accessor then logs the touch so the
-/// framework can attribute byte ranges to the finding of the lint that
-/// asked.
+/// Keeps the value's tag and **one** buffer: the wire text itself when the
+/// content octets already are it (valid UTF-8 under UTF8String, or ASCII
+/// under a single-byte kind), else the untouched octets, decoded on first
+/// ask. It computes the wire decode, the strict decode verdict, the NFC
+/// verdict, the per-value facts ([`crate::facts`]) and the ACE-label
+/// verdicts at most once each, no matter how many lints ask. In evidence
+/// mode the value also carries its [`Origin`]; every accessor then logs
+/// the touch so the framework can attribute byte ranges to the finding of
+/// the lint that asked.
 #[derive(Debug)]
 pub struct CachedVal {
-    raw: RawValue,
-    wire: OnceCell<Option<Box<str>>>,
+    tag_number: u32,
+    content: Content,
     strict_ok: OnceCell<bool>,
     nfc_ok: OnceCell<bool>,
     facts: OnceCell<ValueFacts>,
@@ -166,15 +169,33 @@ pub struct CachedVal {
     provenance: Option<(Rc<Origin>, TouchLog)>,
 }
 
+/// The one buffer of a [`CachedVal`].
+#[derive(Debug)]
+enum Content {
+    /// Content octets that are their own wire text, kept as that text.
+    /// `read` marks the first `wire_text` read, which counts the value's
+    /// one `dn_text` miss exactly as a decode on first ask does.
+    Text { text: Box<str>, read: Cell<bool> },
+    /// Any other value: the octets, with their wire decode (`None` when
+    /// undecodable) memoized on first ask.
+    Octets { bytes: Box<[u8]>, wire: OnceCell<Option<Box<str>>> },
+}
+
 impl CachedVal {
     fn new(
-        raw: RawValue,
+        tag_number: u32,
+        bytes: &[u8],
         stats: Rc<CacheStats>,
         provenance: Option<(Rc<Origin>, TouchLog)>,
     ) -> CachedVal {
+        let own_text = StringKind::from_tag_number(tag_number).and_then(|k| k.as_wire_text(bytes));
+        let content = match own_text {
+            Some(text) => Content::Text { text: Box::from(text), read: Cell::new(false) },
+            None => Content::Octets { bytes: Box::from(bytes), wire: OnceCell::new() },
+        };
         CachedVal {
-            raw,
-            wire: OnceCell::new(),
+            tag_number,
+            content,
             strict_ok: OnceCell::new(),
             nfc_ok: OnceCell::new(),
             facts: OnceCell::new(),
@@ -198,39 +219,64 @@ impl CachedVal {
         self.provenance.as_ref().map(|(o, _)| o.as_ref())
     }
 
-    /// The underlying raw value.
-    pub fn raw(&self) -> &RawValue {
+    /// The value as a [`RawValue`]: a copy, since the cache keeps only
+    /// the one buffer (prefer [`CachedVal::bytes`] and
+    /// [`CachedVal::wire_text`]).
+    pub fn raw(&self) -> RawValue {
         self.touch_origin();
-        &self.raw
+        RawValue { tag_number: self.tag_number, bytes: self.octets().to_vec() }
     }
 
     /// The declared string kind, if the tag is a string type.
     pub fn kind(&self) -> Option<StringKind> {
         self.touch_origin();
-        self.raw.kind()
+        StringKind::from_tag_number(self.tag_number)
     }
 
     /// The content octets, untouched.
     pub fn bytes(&self) -> &[u8] {
         self.touch_origin();
-        &self.raw.bytes
+        self.octets()
+    }
+
+    fn octets(&self) -> &[u8] {
+        match &self.content {
+            Content::Text { text, .. } => text.as_bytes(),
+            Content::Octets { bytes, .. } => bytes,
+        }
     }
 
     /// Wire-format decode (`RawValue::decode_wire`), memoized. `None` means
     /// the bytes are not decodable under the declared tag.
     pub fn wire_text(&self) -> Option<&str> {
         self.touch_origin();
-        self.stats.dn_text.touch(self.wire.get().is_some());
-        self.wire
-            .get_or_init(|| self.raw.decode_wire().ok().map(String::into_boxed_str))
-            .as_deref()
+        match &self.content {
+            Content::Text { text, read } => {
+                self.stats.dn_text.touch(read.replace(true));
+                Some(text)
+            }
+            Content::Octets { bytes, wire } => {
+                self.stats.dn_text.touch(wire.get().is_some());
+                wire.get_or_init(|| {
+                    value::wire_text(self.tag_number, bytes)
+                        .ok()
+                        .map(|t| t.into_owned().into_boxed_str())
+                })
+                .as_deref()
+            }
+        }
     }
 
     /// Does the value pass a strict decode (`RawValue::decode_strict`)?
+    /// Decided by `strings::validate`, which borrows the octets when they
+    /// are their own wire text.
     pub fn strict_ok(&self) -> bool {
         self.touch_origin();
         self.stats.dn_text.touch(self.strict_ok.get().is_some());
-        *self.strict_ok.get_or_init(|| self.raw.decode_strict().is_ok())
+        *self.strict_ok.get_or_init(|| {
+            StringKind::from_tag_number(self.tag_number)
+                .is_some_and(|k| strings::validate(k, self.octets()).is_ok())
+        })
     }
 
     /// Is the wire-decoded text NFC-normalized? Undecodable bytes count as
@@ -264,6 +310,14 @@ impl CachedVal {
         self.facts
             .get_or_init(|| self.wire_text().map_or_else(ValueFacts::default, ValueFacts::of_text))
     }
+}
+
+/// A value as found on the wire: its universal tag number and content
+/// octets, borrowed from the certificate or its parsed extensions.
+type WireValue<'v> = (u32, &'v [u8]);
+
+fn wire(v: &RawValue) -> WireValue<'_> {
+    (v.tag_number, &v.bytes)
 }
 
 /// One DN attribute with its cached value.
@@ -309,6 +363,36 @@ fn x520_arc(oid: &Oid) -> Option<u32> {
 /// again on each ask, so a certificate listing thousands of labels cannot
 /// make the linear lookup quadratic.
 const LABEL_MAP_CAP: usize = 64;
+
+/// Octets a label-map key holds inline: a DNS label has at most 63.
+const INLINE_LABEL: usize = 63;
+
+/// A label-map key, held inline for any label a DNS name can carry;
+/// longer labels (hostile input only) are copied to the heap.
+enum LabelKey {
+    Inline { len: u8, octets: [u8; INLINE_LABEL] },
+    Spilled(Box<str>),
+}
+
+impl LabelKey {
+    fn new(label: &str) -> LabelKey {
+        let mut octets = [0u8; INLINE_LABEL];
+        match (octets.get_mut(..label.len()), u8::try_from(label.len())) {
+            (Some(prefix), Ok(len)) => {
+                prefix.copy_from_slice(label.as_bytes());
+                LabelKey::Inline { len, octets }
+            }
+            _ => LabelKey::Spilled(Box::from(label)),
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            LabelKey::Inline { len, octets } => octets.get(..usize::from(*len)).unwrap_or_default(),
+            LabelKey::Spilled(label) => label.as_bytes(),
+        }
+    }
+}
 
 /// Everything the label cache knows about one DNS label, from a single
 /// decode of its payload.
@@ -402,7 +486,7 @@ pub struct LintContext<'c> {
     cps_values: OnceCell<Vec<CachedVal>>,
     /// Label verdicts keyed by label text: a certificate carries about one
     /// ACE label, so a short vector beats hashing.
-    labels: RefCell<Vec<(Box<str>, LabelInfo)>>,
+    labels: RefCell<Vec<(LabelKey, LabelInfo)>>,
     /// Evidence-mode state; `None` on the survey hot path.
     evidence: Option<EvidenceState>,
 }
@@ -605,8 +689,14 @@ impl<'c> LintContext<'c> {
 
     /// Build an [`Origin`] for a value at `span`, precomputing its decoded
     /// forms (evidence mode only, so the cost is off the hot path).
-    fn make_origin(&self, raw: &RawValue, span: Span, tlv_path: String) -> Rc<Origin> {
-        let raw_text = raw.display_lossy();
+    fn make_origin(
+        &self,
+        tag_number: u32,
+        bytes: &[u8],
+        span: Span,
+        tlv_path: String,
+    ) -> Rc<Origin> {
+        let raw_text = lossy_text(tag_number, bytes).into_owned();
         let normalized = {
             let n = nfc::nfc(&raw_text);
             if n == raw_text {
@@ -622,7 +712,8 @@ impl<'c> LintContext<'c> {
     /// with the context's touch log. `None` when evidence is off.
     fn provenance(
         &self,
-        raw: &RawValue,
+        tag_number: u32,
+        bytes: &[u8],
         resolve: impl FnOnce(&CertSpans) -> Option<(Span, String)>,
     ) -> Option<(Rc<Origin>, TouchLog)> {
         let ev = self.evidence.as_ref()?;
@@ -633,7 +724,7 @@ impl<'c> LintContext<'c> {
             // provenance entirely.
             None => (Span { offset: 0, len: self.raw_len() }, "certificate".to_string()),
         };
-        Some((self.make_origin(raw, span, path), Rc::clone(&ev.touched)))
+        Some((self.make_origin(tag_number, bytes, span, path), Rc::clone(&ev.touched)))
     }
 
     /// Origin resolver for the `child`-th top-level element inside the
@@ -656,14 +747,15 @@ impl<'c> LintContext<'c> {
     }
 
     /// Cache a value that came from extension `oid`'s `child`-th element.
-    fn cached_ext(&self, raw: RawValue, oid: &Oid, child: usize) -> CachedVal {
-        let provenance = self.provenance(&raw, self.ext_child_resolver(oid, child));
-        CachedVal::new(raw, Rc::clone(&self.stats), provenance)
+    fn cached_ext(&self, v: WireValue<'_>, oid: &Oid, child: usize) -> CachedVal {
+        let (tag_number, bytes) = v;
+        let provenance = self.provenance(tag_number, bytes, self.ext_child_resolver(oid, child));
+        CachedVal::new(tag_number, bytes, Rc::clone(&self.stats), provenance)
     }
 
     /// Cache the `idx`-th attribute value of a DN.
-    fn cached_dn(&self, raw: RawValue, which: Which, idx: usize) -> CachedVal {
-        let provenance = self.provenance(&raw, |spans| {
+    fn cached_dn(&self, tag_number: u32, bytes: &[u8], which: Which, idx: usize) -> CachedVal {
+        let provenance = self.provenance(tag_number, bytes, |spans| {
             let (attrs, name) = match which {
                 Which::Subject => (&spans.subject_attrs, "subject"),
                 Which::Issuer => (&spans.issuer_attrs, "issuer"),
@@ -671,7 +763,7 @@ impl<'c> LintContext<'c> {
             let span = *attrs.get(idx)?;
             Some((span, CertSpans::dn_attr_path(name, idx)))
         });
-        CachedVal::new(raw, Rc::clone(&self.stats), provenance)
+        CachedVal::new(tag_number, bytes, Rc::clone(&self.stats), provenance)
     }
 
     // --- DNs ------------------------------------------------------------
@@ -709,7 +801,7 @@ impl<'c> LintContext<'c> {
                         .enumerate()
                         .map(|(i, a)| DnAttr {
                             oid: a.oid.clone(),
-                            val: self.cached_dn(a.value.clone(), which, i),
+                            val: self.cached_dn(a.value.tag_number, &a.value.bytes, which, i),
                         })
                         .collect()
                 }
@@ -722,7 +814,7 @@ impl<'c> LintContext<'c> {
                         .enumerate()
                         .map(|(i, a)| DnAttr {
                             oid: a.oid.clone(),
-                            val: self.cached_dn(a.raw_value(), which, i),
+                            val: self.cached_dn(a.tag_number, a.value, which, i),
                         })
                         .collect()
                 }
@@ -787,7 +879,7 @@ impl<'c> LintContext<'c> {
         cell: &'s OnceCell<Vec<CachedVal>>,
         ext_oid: Oid,
         names: impl Fn(&Self) -> &[GeneralName],
-        pick: impl Fn(&GeneralName) -> Option<RawValue>,
+        pick: impl Fn(&GeneralName) -> Option<WireValue<'_>>,
     ) -> &'s [CachedVal] {
         self.stats.san.touch(cell.get().is_some());
         cell.get_or_init(|| {
@@ -804,7 +896,7 @@ impl<'c> LintContext<'c> {
     /// SAN DNSName values.
     pub fn san_dns(&self) -> &[CachedVal] {
         self.gn_list(&self.san_dns, known::subject_alt_name(), Self::san, |n| match n {
-            GeneralName::DnsName(v) => Some(v.clone()),
+            GeneralName::DnsName(v) => Some(wire(v)),
             _ => None,
         })
     }
@@ -812,7 +904,7 @@ impl<'c> LintContext<'c> {
     /// SAN RFC822Name values.
     pub fn san_rfc822(&self) -> &[CachedVal] {
         self.gn_list(&self.san_rfc822, known::subject_alt_name(), Self::san, |n| match n {
-            GeneralName::Rfc822Name(v) => Some(v.clone()),
+            GeneralName::Rfc822Name(v) => Some(wire(v)),
             _ => None,
         })
     }
@@ -820,7 +912,7 @@ impl<'c> LintContext<'c> {
     /// SAN URI values.
     pub fn san_uri(&self) -> &[CachedVal] {
         self.gn_list(&self.san_uri, known::subject_alt_name(), Self::san, |n| match n {
-            GeneralName::Uri(v) => Some(v.clone()),
+            GeneralName::Uri(v) => Some(wire(v)),
             _ => None,
         })
     }
@@ -836,7 +928,7 @@ impl<'c> LintContext<'c> {
                 let outer = r.read_tlv().ok()?;
                 let mut c = outer.contents();
                 let inner = c.read_tlv().ok()?;
-                Some(RawValue { tag_number: inner.tag.number, bytes: inner.value.to_vec() })
+                Some((inner.tag.number, inner.value))
             }
             _ => None,
         })
@@ -845,7 +937,7 @@ impl<'c> LintContext<'c> {
     /// IAN DNSName values.
     pub fn ian_dns(&self) -> &[CachedVal] {
         self.gn_list(&self.ian_dns, known::issuer_alt_name(), Self::ian, |n| match n {
-            GeneralName::DnsName(v) => Some(v.clone()),
+            GeneralName::DnsName(v) => Some(wire(v)),
             _ => None,
         })
     }
@@ -854,7 +946,7 @@ impl<'c> LintContext<'c> {
     pub fn ian_strings(&self) -> &[CachedVal] {
         self.gn_list(&self.ian_strings, known::issuer_alt_name(), Self::ian, |n| match n {
             GeneralName::DnsName(v) | GeneralName::Rfc822Name(v) | GeneralName::Uri(v) => {
-                Some(v.clone())
+                Some(wire(v))
             }
             _ => None,
         })
@@ -876,7 +968,7 @@ impl<'c> LintContext<'c> {
                 .iter()
                 .enumerate()
                 .filter_map(|(i, d)| match &d.location {
-                    GeneralName::Uri(v) => Some(self.cached_ext(v.clone(), &oid, i)),
+                    GeneralName::Uri(v) => Some(self.cached_ext(wire(v), &oid, i)),
                     _ => None,
                 })
                 .collect()
@@ -908,7 +1000,7 @@ impl<'c> LintContext<'c> {
                 .filter_map(|(i, n)| match n {
                     // The DistributionPoint's index is the child span; the
                     // URI sits inside it (fullName isn't mapped deeper).
-                    GeneralName::Uri(v) => Some(self.cached_ext(v.clone(), &oid, i)),
+                    GeneralName::Uri(v) => Some(self.cached_ext(wire(v), &oid, i)),
                     _ => None,
                 })
                 .collect()
@@ -930,7 +1022,7 @@ impl<'c> LintContext<'c> {
                 .flat_map(|(i, p)| p.qualifiers.iter().map(move |q| (i, q)))
                 .filter_map(|(i, q)| match q {
                     PolicyQualifier::UserNotice { explicit_text: Some(t) } => {
-                        Some(self.cached_ext(t.clone(), &oid, i))
+                        Some(self.cached_ext(wire(t), &oid, i))
                     }
                     _ => None,
                 })
@@ -952,7 +1044,7 @@ impl<'c> LintContext<'c> {
                 .enumerate()
                 .flat_map(|(i, p)| p.qualifiers.iter().map(move |q| (i, q)))
                 .filter_map(|(i, q)| match q {
-                    PolicyQualifier::Cps(v) => Some(self.cached_ext(v.clone(), &oid, i)),
+                    PolicyQualifier::Cps(v) => Some(self.cached_ext(wire(v), &oid, i)),
                     _ => None,
                 })
                 .collect()
@@ -965,7 +1057,12 @@ impl<'c> LintContext<'c> {
     /// the whole analysis (the same label typically appears in the CN, the
     /// SAN, and the classify stage).
     pub fn label_info(&self, label: &str) -> LabelInfo {
-        let cached = self.labels.borrow().iter().find(|(k, _)| **k == *label).map(|&(_, i)| i);
+        let cached = self
+            .labels
+            .borrow()
+            .iter()
+            .find(|(k, _)| k.as_bytes() == label.as_bytes())
+            .map(|&(_, i)| i);
         if let Some(info) = cached {
             self.stats.punycode.touch(true);
             return info;
@@ -974,7 +1071,7 @@ impl<'c> LintContext<'c> {
         let info = LabelInfo::compute(label);
         let mut labels = self.labels.borrow_mut();
         if labels.len() < LABEL_MAP_CAP {
-            labels.push((Box::from(label), info));
+            labels.push((LabelKey::new(label), info));
         }
         info
     }

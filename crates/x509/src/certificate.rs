@@ -157,13 +157,10 @@ impl TbsCertificate {
     fn parse(r: &mut Reader<'_>) -> Result<TbsCertificate> {
         r.read_sequence(|tbs| {
             // version [0] EXPLICIT, DEFAULT v1.
-            let version = match tbs.read_optional(Tag::context_constructed(0))? {
-                Some(v) => {
-                    let mut c = v.contents();
-                    let i = c.read_expected(tags::INTEGER)?;
-                    c.finish()?;
-                    unicert_asn1::integer::decode_u64(i.value)?
-                }
+            let version = match tbs.read_optional_nested(Tag::context_constructed(0), |c| {
+                c.read_expected(tags::INTEGER)
+            })? {
+                Some(i) => unicert_asn1::integer::decode_u64(i.value)?,
                 None => 0,
             };
             let serial_tlv = tbs.read_expected(tags::INTEGER)?;
@@ -189,16 +186,14 @@ impl TbsCertificate {
             let _ = tbs.read_optional_context(2)?;
             // extensions [3] EXPLICIT.
             let mut extensions = Vec::new();
-            if let Some(exts) = tbs.read_optional(Tag::context_constructed(3))? {
-                let mut c = exts.contents();
+            tbs.read_optional_nested(Tag::context_constructed(3), |c| {
                 c.read_sequence(|list| {
                     while !list.is_empty() {
                         extensions.push(parse_extension(list)?);
                     }
                     Ok(())
-                })?;
-                c.finish()?;
-            }
+                })
+            })?;
             Ok(TbsCertificate {
                 version,
                 serial,

@@ -6,6 +6,8 @@
 //! UTF-8, and the differential harness must feed the *original bytes* to
 //! each library profile.
 
+use std::borrow::Cow;
+
 use unicert_asn1::{Error, Result, StringKind, Tag, Writer};
 
 /// A raw, possibly noncompliant string value.
@@ -44,22 +46,35 @@ impl RawValue {
 
     /// Wire-format-only decode (no character-set check).
     pub fn decode_wire(&self) -> Result<String> {
-        match self.kind() {
-            Some(k) => k.decode_wire(&self.bytes),
-            None => Err(Error::WrongConstruction),
-        }
+        wire_text(self.tag_number, &self.bytes).map(Cow::into_owned)
     }
 
     /// Best-effort text for display: strict → wire → Latin-1 fallback.
     pub fn display_lossy(&self) -> String {
-        self.decode_wire()
-            .unwrap_or_else(|_| self.bytes.iter().map(|&b| b as char).collect())
+        lossy_text(self.tag_number, &self.bytes).into_owned()
     }
 
     /// Encode as a TLV under the original tag.
     pub fn write_to(&self, w: &mut Writer) {
         w.write_tlv(Tag::universal(self.tag_number), &self.bytes);
     }
+}
+
+/// [`RawValue::decode_wire`] of a value given as its tag number and
+/// content octets, borrowing them when they already are the text (see
+/// [`StringKind::decode_wire_borrowed`]).
+pub fn wire_text(tag_number: u32, bytes: &[u8]) -> Result<Cow<'_, str>> {
+    match StringKind::from_tag_number(tag_number) {
+        Some(k) => k.decode_wire_borrowed(bytes),
+        None => Err(Error::WrongConstruction),
+    }
+}
+
+/// [`RawValue::display_lossy`] of a value given as its tag number and
+/// content octets: the wire text, else the octets widened as Latin-1.
+/// Borrows whenever [`wire_text`] does.
+pub fn lossy_text(tag_number: u32, bytes: &[u8]) -> Cow<'_, str> {
+    wire_text(tag_number, bytes).unwrap_or_else(|_| bytes.iter().map(|&b| b as char).collect())
 }
 
 #[cfg(test)]

@@ -19,6 +19,12 @@
 //! absent-type shortcut) equals the linear filter, and the single-pass
 //! `label_info` equals the two-decode pipeline it replaced, field for field.
 //!
+//! A cached value keeps one buffer: the wire text itself when the octets
+//! already are it, else the octets with a lazy decode. The value checker
+//! runs over both forms, and a fixed certificate holds values of each
+//! (BMPString, UniversalString, Latin-1 TeletexString and invalid UTF-8
+//! among the decoded ones).
+//!
 //! Any divergence here means the cache changed analysis semantics — the
 //! perf work's one forbidden failure mode.
 
@@ -179,9 +185,13 @@ fn assert_context_matches_direct(cert: &Certificate) {
                 ctx.dn_attrs(which).iter().map(|a| (a.oid.clone(), a.val.raw().clone())).collect();
             assert_eq!(direct, cached, "dn_attrs {which:?}");
             for attr in ctx.dn_attrs(which) {
-                let per_oid: Vec<&RawValue> =
+                let per_oid: Vec<RawValue> =
                     ctx.attr_vals(which, &attr.oid).map(|v| v.raw()).collect();
-                assert_eq!(per_oid, helpers::attr_values(cert, which, &attr.oid), "attr_vals");
+                assert_eq!(
+                    per_oid.iter().collect::<Vec<_>>(),
+                    helpers::attr_values(cert, which, &attr.oid),
+                    "attr_vals"
+                );
             }
         }
 
@@ -193,6 +203,8 @@ fn assert_context_matches_direct(cert: &Certificate) {
             .chain(ctx.san_dns())
             .chain(ctx.explicit_texts())
         {
+            assert_eq!(v.bytes(), v.raw().bytes.as_slice(), "bytes");
+            assert_eq!(v.kind(), v.raw().kind(), "kind");
             assert_eq!(v.wire_text(), v.raw().decode_wire().ok().as_deref(), "wire_text");
             assert_eq!(v.strict_ok(), v.raw().decode_strict().is_ok(), "strict_ok");
             let direct_nfc = match v.raw().decode_wire() {
@@ -244,8 +256,8 @@ fn assert_context_matches_direct(cert: &Certificate) {
         // attr_vals, absent types included, against the linear filter.
         for which in [Which::Subject, Which::Issuer] {
             for oid in attribute_types() {
-                let fast: Vec<&RawValue> = ctx.attr_vals(which, &oid).map(|v| v.raw()).collect();
-                let linear: Vec<&RawValue> = ctx
+                let fast: Vec<RawValue> = ctx.attr_vals(which, &oid).map(|v| v.raw()).collect();
+                let linear: Vec<RawValue> = ctx
                     .dn_attrs(which)
                     .iter()
                     .filter(|a| a.oid == oid)
@@ -286,6 +298,7 @@ proptest! {
         kind in proptest::sample::select(vec![
             StringKind::Utf8, StringKind::Printable, StringKind::Ia5,
             StringKind::Bmp, StringKind::Teletex, StringKind::Numeric,
+            StringKind::Universal, StringKind::Visible,
         ]),
     ) {
         let cert = CertificateBuilder::new()
@@ -447,4 +460,50 @@ fn corpus_sweep_context_equivalence() {
             entry.cert.tbs.serial
         );
     }
+}
+
+/// Does the value hold its octets as their own wire text (the cache's
+/// one-buffer text form), rather than octets decoded on demand?
+fn stored_as_text(v: &CachedVal) -> bool {
+    v.wire_text().map(str::as_bytes) == Some(v.bytes())
+}
+
+/// Both storage forms of a cached value through the value checker, the
+/// registry, and the `dn_text` miss accounting: each value's first
+/// `wire_text` read is its one miss, whichever form it is stored in.
+#[test]
+fn both_storage_forms_match_direct() {
+    let values: [(StringKind, &[u8]); 9] = [
+        (StringKind::Utf8, "Müller GmbH".as_bytes()),
+        (StringKind::Printable, b"Example Org"),
+        (StringKind::Ia5, b"ops@example.com"),
+        (StringKind::Bmp, &[0x4E, 0x2D, 0x00, 0x41]),
+        (StringKind::Bmp, &[0xD8, 0x00]),
+        (StringKind::Universal, &[0x00, 0x01, 0xF6, 0x00]),
+        (StringKind::Teletex, &[b'S', b't', 0xF6, b'r']),
+        (StringKind::Utf8, &[0xC3, 0x28]),
+        (StringKind::Printable, &[b'a', 0xE9]),
+    ];
+    let mut builder = CertificateBuilder::new()
+        .add_dns_san("xn--mnchen-3ya.de")
+        .validity_days(DateTime::date(2024, 3, 1).unwrap(), 90);
+    for (kind, bytes) in values {
+        builder = builder.subject_attr_raw(known::organizational_unit(), kind, bytes);
+    }
+    let cert = builder.build_signed(&SimKey::from_seed("ctx-eq"));
+    assert_context_matches_direct(&cert);
+    assert_registry_runs_identically(&cert);
+
+    let ctx = LintContext::new(&cert);
+    let attrs = ctx.dn_attrs(Which::Subject);
+    let (hits, misses) = ctx.cache_stats().dn_text();
+    let forms: Vec<bool> = attrs.iter().map(|a| stored_as_text(&a.val)).collect();
+    let reads = attrs.len() as u64;
+    assert_eq!(ctx.cache_stats().dn_text(), (hits, misses + reads), "first reads miss");
+    for a in attrs {
+        a.val.wire_text();
+    }
+    assert_eq!(ctx.cache_stats().dn_text(), (hits + reads, misses + reads), "then hit");
+    assert_eq!(forms.iter().filter(|&&t| t).count(), 3, "text-form values: {forms:?}");
+    assert_eq!(forms.iter().filter(|&&t| !t).count(), 6, "decoded values: {forms:?}");
 }

@@ -15,7 +15,13 @@
 //!   `tests/vectors/bimi`) through the same assertions;
 //! - the committed malformed vectors plus all ten chaos mutation classes
 //!   through the borrowed-vs-owned oracle: same accept/reject decision,
-//!   same error value, same [`Error::class`] on every input.
+//!   same error value, same [`Error::class`] on every input;
+//! - hand-built subject names in the RDN shapes no corpus or golden
+//!   certificate has (a two-attribute RDN, an empty SET, an empty DN),
+//!   for the view's flat attribute list;
+//! - the parse budget on every golden vector: both decoders charge every
+//!   TLV they read, and run out of a budget one element short with the
+//!   same error.
 //!
 //! Any divergence here means the zero-copy path changed analysis
 //! semantics — the perf work's one forbidden failure mode.
@@ -24,8 +30,11 @@ use std::path::PathBuf;
 use unicert::corpus::{BimiConfig, BimiGenerator, CorpusConfig, CorpusGenerator};
 use unicert::lint::{default_registry, LintContext, RunOptions};
 use unicert::parsers::differential::run_oracle;
-use unicert::x509::{CertView, Certificate};
-use unicert_asn1::{Error, ParseBudget};
+use unicert::x509::{
+    AttrView, CertView, Certificate, CertificateBuilder, DistinguishedName, SimKey,
+};
+use unicert_asn1::oid::known;
+use unicert_asn1::{DateTime, Error, Oid, ParseBudget, Reader, StringKind, Writer};
 use unicert_chaos::{MutationClass, Mutator};
 
 fn vectors_dir(profile: &str) -> PathBuf {
@@ -254,5 +263,152 @@ fn chaos_mutants_agree_across_parsers() {
             report.examples
         );
         assert_eq!(report.inputs, base.len(), "{}: inputs", class.label());
+    }
+}
+
+/// A `Name` written with the asn1 [`Writer`]: one SET per inner slice,
+/// holding its `(type, UTF8String text)` attributes in order.
+fn name_der(rdns: &[&[(Oid, &str)]]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.write_sequence(|w| {
+        for rdn in rdns {
+            w.write_set(|w| {
+                for (oid, text) in rdn.iter() {
+                    w.write_sequence(|w| {
+                        w.write_oid(oid);
+                        w.write_string(StringKind::Utf8, text);
+                    });
+                }
+            });
+        }
+    });
+    w.into_bytes()
+}
+
+/// A certificate DER whose subject is exactly the `name` bytes.
+fn cert_with_subject(name: &[u8]) -> Vec<u8> {
+    let mut cert = CertificateBuilder::new()
+        .subject_cn("base.example")
+        .issuer_org("Shape CA")
+        .validity_days(DateTime::date(2024, 6, 1).unwrap(), 90)
+        .add_dns_san("a.example")
+        .build_signed(&SimKey::from_seed("dn-shapes"));
+    cert.tbs.subject =
+        DistinguishedName::parse(&mut Reader::new(name)).expect("hand-built name parses");
+    let der = cert.to_der();
+    assert!(
+        der.windows(name.len()).any(|w| w == name),
+        "the certificate carries the hand-built name verbatim"
+    );
+    der
+}
+
+/// The flat `DnView` (one attribute list, each attribute tagged with its
+/// RDN) regroups into the owned tree and answers every DN accessor like
+/// the owned `DistinguishedName`, on RDN shapes the corpus never makes.
+#[test]
+fn flat_dn_view_matches_owned_on_hand_built_rdn_shapes() {
+    let (c, cn, o, ou) = (
+        known::country_name(),
+        known::common_name(),
+        known::organization_name(),
+        known::organizational_unit(),
+    );
+    let shapes = [
+        (
+            "two-attribute RDN",
+            name_der(&[
+                &[(c.clone(), "DE")],
+                &[(cn.clone(), "a.example"), (o.clone(), "Org")],
+                &[(ou.clone(), "Unit")],
+            ]),
+            (3, 4),
+        ),
+        (
+            "empty SET between attributes",
+            name_der(&[
+                &[(cn.clone(), "a.example")],
+                &[],
+                &[(o.clone(), "Org"), (cn.clone(), "b")],
+            ]),
+            (3, 3),
+        ),
+        ("a lone empty SET", name_der(&[&[]]), (1, 0)),
+        ("empty DN", name_der(&[]), (0, 0)),
+    ];
+    for (label, name, (rdns, attrs)) in shapes {
+        let der = cert_with_subject(&name);
+        let cert = Certificate::parse_der(&der).expect("owned parse");
+        let view = CertView::parse_der(&der).expect("view parse");
+        let (dv, dn) = (&view.subject, &cert.tbs.subject);
+
+        assert_eq!((dn.rdns.len(), dn.attributes().count()), (rdns, attrs), "{label}: shape");
+        assert_eq!(dv.rdn_count, dn.rdns.len(), "{label}: RDN count");
+        assert_eq!(&dv.to_owned(), dn, "{label}: to_owned regroups");
+        assert_eq!(dv.is_empty(), dn.is_empty(), "{label}: is_empty");
+        assert_eq!(dv.is_empty(), rdns == 0, "{label}: an empty SET is an RDN");
+        let view_order: Vec<_> = dv.attributes().map(|a| (a.oid.clone(), a.raw_value())).collect();
+        let owned_order: Vec<_> =
+            dn.attributes().map(|a| (a.oid.clone(), a.value.clone())).collect();
+        assert_eq!(view_order, owned_order, "{label}: attribute order");
+        for oid in [&c, &cn, &o, &ou, &known::street_address()] {
+            assert_eq!(dv.count_of(oid), dn.count_of(oid), "{label}: count_of {oid:?}");
+            assert_eq!(
+                dv.first_value(oid).map(AttrView::raw_value).as_ref(),
+                dn.first_value(oid),
+                "{label}: first_value {oid:?}"
+            );
+        }
+        assert_view_matches_owned(label, &der, &cert);
+    }
+}
+
+/// TLV elements in `der`, descending into constructed elements only: the
+/// elements the certificate parsers decode, since they read extension
+/// payloads, key and signature bits, attribute values and algorithm
+/// parameters whole. Counted independently of either parser.
+fn recursive_tlv_count(der: &[u8]) -> u64 {
+    let mut r = Reader::new(der);
+    let mut count = 0;
+    while !r.is_empty() {
+        let tlv = r.read_tlv().expect("golden vectors are well-formed DER");
+        count += 1;
+        if tlv.tag.constructed {
+            count += recursive_tlv_count(tlv.value);
+        }
+    }
+    count
+}
+
+/// The parse budget charges every TLV either decoder reads — the version
+/// and the whole extension list included — and both decoders run out of
+/// it at the same element with the same error.
+#[test]
+fn parse_budget_charges_every_tlv_on_golden_vectors() {
+    for profile in ["webpki", "bimi"] {
+        for (name, der) in vector_ders(profile) {
+            // The TBS header is read twice: as an element of the outer
+            // SEQUENCE, and again by the reader over the raw TBS.
+            let expected = recursive_tlv_count(&der) + 1;
+            let state = ParseBudget::default().start();
+            CertView::parse_der_budgeted(&der, &state).expect("golden vector parses");
+            assert_eq!(state.elements_used(), expected, "{name}: elements charged");
+
+            let exact = ParseBudget { max_elements: expected, ..ParseBudget::default() };
+            assert!(
+                Certificate::parse_der_budgeted(&der, &exact).is_ok(),
+                "{name}: owned at limit"
+            );
+            assert!(
+                CertView::parse_der_budgeted(&der, &exact.start()).is_ok(),
+                "{name}: view at limit"
+            );
+
+            let short = ParseBudget { max_elements: expected - 1, ..ParseBudget::default() };
+            let owned = Certificate::parse_der_budgeted(&der, &short).unwrap_err();
+            let viewed = CertView::parse_der_budgeted(&der, &short.start()).unwrap_err();
+            assert_eq!(owned, Error::BudgetExceeded { resource: "elements" }, "{name}: owned");
+            assert_eq!(viewed, owned, "{name}: view error");
+        }
     }
 }
