@@ -11,7 +11,7 @@
 //!
 //! Reachability is a deliberate overapproximation: a call edge resolves to
 //! every same-file definition of the callee's simple name, plus cross-file
-//! definitions when the name is rare (≤ [`MAX_CROSS_FILE_DEFS`] definitions
+//! definitions when the name is rare (≤ `MAX_CROSS_FILE_DEFS` (3) definitions
 //! workspace-wide); ubiquitous names (`new`, `len`, …) are treated as
 //! opaque. Code the call graph cannot see into — the 95 lint `check`
 //! functions invoked through fn pointers — is force-scanned via

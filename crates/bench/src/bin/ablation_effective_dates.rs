@@ -11,11 +11,11 @@ fn main() {
     let config = unicert_bench::corpus_args(100_000);
     eprintln!("corpus: {} Unicerts (seed {})", config.size, config.seed);
 
-    let gated = survey::run_parallel(
+    let gated = survey::run(
         CorpusGenerator::new(config.clone()),
         SurveyOptions { field_matrix: false, ..Default::default() },
     );
-    let ungated = survey::run_parallel(
+    let ungated = survey::run(
         CorpusGenerator::new(config),
         SurveyOptions {
             lint: RunOptions::ungated(),

@@ -27,6 +27,7 @@ use std::fmt::Write as _;
 
 use unicert::asn1::ParseBudget;
 use unicert::corpus::{BimiConfig, BimiGenerator, CorpusConfig, CorpusGenerator};
+use unicert::lint::RunOptions;
 use unicert::parsers::differential::{self, ClassMatrix};
 use unicert::survey::{self, SurveyOptions};
 use unicert::telemetry::{self, Stopwatch};
@@ -89,6 +90,10 @@ fn main() {
     );
 
     let budget = ParseBudget::default();
+    let serial_opts = SurveyOptions {
+        lint: RunOptions { threads: Some(1), ..RunOptions::default() },
+        ..SurveyOptions::default()
+    };
     let total = Stopwatch::start();
     let mut rows = Vec::new();
     let mut combined: Vec<Vec<u8>> = Vec::with_capacity(base.len() * MutationClass::ALL.len());
@@ -100,7 +105,7 @@ fn main() {
         let hostile: Vec<Vec<u8>> = base.iter().map(|der| mutator.mutate(der, class)).collect();
 
         let watch = Stopwatch::start();
-        let report = survey::run_bytes(&hostile, SurveyOptions::default(), &budget);
+        let report = survey::survey(serial_opts.registry(), &hostile, serial_opts, 0);
         let matrix = differential::run_class(class.label(), &hostile, &budget);
         let oracle = differential::run_oracle(class.label(), &hostile, &budget);
         let nanos = watch.elapsed_nanos();

@@ -103,7 +103,7 @@ fn expected_with_corruption(
         }
         let lo = shard.start as usize;
         let slice = &corpus[lo..lo + shard.count];
-        report.merge(survey::run_parallel_slice_from(
+        report.merge(survey::survey(
             registry,
             slice,
             options(1).survey,
@@ -143,7 +143,8 @@ fn main() {
     let corpus: Vec<CorpusEntry> = CorpusGenerator::new(config.clone()).collect();
 
     // The one-shot in-memory reference every resumed run must reproduce.
-    let reference = survey::run_parallel_slice(&corpus, options(1).survey);
+    let serial = options(1).survey;
+    let reference = survey::survey(serial.registry(), &corpus, serial, 0);
     let fingerprint = format!("{:016x}", reference.fingerprint());
     println!("one-shot reference fingerprint: {fingerprint}");
 

@@ -27,10 +27,11 @@
 //!   any configuration measured in both runs fell below `ratio` × the
 //!   baseline throughput — CI passes `0.9` to catch >10% regressions.
 //! * `--min-view-speedup <ratio>`: fail (exit 1) when the zero-copy
-//!   survey (`run_bytes` over `CertView`) ran slower than `ratio` × the
-//!   owned decode+lint path *in the same run*. Because both sides share
-//!   one process and one corpus, machine speed cancels out of the ratio —
-//!   this is the gate shared-runner noise cannot flip.
+//!   survey (bare bytes through `survey::survey`, over `CertView`) ran
+//!   slower than `ratio` × the owned decode+lint path *in the same run*.
+//!   Because both sides share one process and one corpus, machine speed
+//!   cancels out of the ratio — this is the gate shared-runner noise
+//!   cannot flip.
 //! * `--history <json>`: append one run record (id, corpus, fingerprint,
 //!   per-configuration certs/sec) to a cumulative trajectory file, so
 //!   throughput is comparable *across* PRs, not just against one baseline.
@@ -181,11 +182,15 @@ fn main() {
     let shard_size = RunOptions::default().effective_shard_size();
     let machine = RunOptions::default().effective_threads();
 
+    let serial_opts = SurveyOptions {
+        lint: RunOptions { threads: Some(1), ..RunOptions::default() },
+        ..SurveyOptions::default()
+    };
     let (serial, serial_sample) = time_run(
         "serial",
         1,
         corpus.len(),
-        || survey::run(corpus.iter().cloned(), SurveyOptions::default()),
+        || survey::run(corpus.iter().cloned(), serial_opts),
         None,
     );
 
@@ -241,21 +246,22 @@ fn main() {
             "parallel",
             threads,
             corpus.len(),
-            || survey::run_parallel_slice(&corpus, opts),
+            || survey::survey(opts.registry(), &corpus, opts, 0),
             Some(&serial),
         );
         samples.push(sample);
     }
     samples.extend(parse_samples);
 
-    // Full-survey A/B over the same DER in the same process: the owned
-    // decode+lint kernel (eager `Certificate` tree, `LintContext::new`,
-    // content-inferred meta) against the zero-copy view path
-    // (`run_bytes`). The two reports must be byte-identical — the
-    // equivalence suite's invariant exercised at survey scale — and the
-    // wall-clock ratio is a machine-speed-free measure of the borrowed
-    // path's win: both sides see the same CPU, so runner noise cancels
-    // out of the ratio even when it swings absolute throughput 2x.
+    // Full-survey A/B over the same DER in the same process, both at one
+    // thread: the owned decode+lint kernel (eager `Certificate` tree,
+    // `LintContext::new`, content-inferred meta) against the zero-copy
+    // view path (bare bytes through `survey::survey`). The two reports
+    // must be byte-identical — the equivalence suite's invariant exercised
+    // at survey scale — and the wall-clock ratio is a machine-speed-free
+    // measure of the borrowed path's win: both sides see the same CPU, so
+    // runner noise cancels out of the ratio even when it swings absolute
+    // throughput 2x.
     // Three alternated rounds; the reported ratio is the median round's,
     // so a CPU-speed shift during any single window cannot flip the gate.
     let ders: Vec<Vec<u8>> = corpus.iter().map(|e| e.cert.raw.clone()).collect();
@@ -269,12 +275,12 @@ fn main() {
                 let meta = CertMeta::inferred(&cert);
                 CorpusEntry { cert, meta }
             }),
-            SurveyOptions::default(),
+            serial_opts,
         );
         let owned_nanos = watch.elapsed_nanos().max(1);
 
         let watch = Stopwatch::start();
-        let view_report = survey::run_bytes(&ders, SurveyOptions::default(), &budget);
+        let view_report = survey::survey(serial_opts.registry(), &ders, serial_opts, 0);
         let view_nanos = watch.elapsed_nanos().max(1);
         rounds.push((owned_nanos, view_nanos));
 

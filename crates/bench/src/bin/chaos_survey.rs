@@ -22,7 +22,6 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use unicert::asn1::ParseBudget;
 use unicert::corpus::{CorpusConfig, CorpusGenerator};
 use unicert::lint::RunOptions;
 use unicert::survey::{self, SurveyOptions};
@@ -78,7 +77,11 @@ fn main() {
     .map(|e| e.cert.raw)
     .collect();
 
-    let budget = ParseBudget::default();
+    let serial_opts = SurveyOptions {
+        lint: RunOptions { threads: Some(1), ..RunOptions::default() },
+        ..SurveyOptions::default()
+    };
+    let registry = serial_opts.registry();
     let total = Stopwatch::start();
     let mut rows = Vec::new();
     let mut combined: Vec<Vec<u8>> = Vec::with_capacity(corpus.len() * MutationClass::ALL.len());
@@ -91,7 +94,7 @@ fn main() {
             corpus.iter().map(|der| mutator.mutate(der, class)).collect();
 
         let watch = Stopwatch::start();
-        let report = survey::run_bytes(&hostile, SurveyOptions::default(), &budget);
+        let report = survey::survey(registry, &hostile, serial_opts, 0);
         let nanos = watch.elapsed_nanos();
         telemetry::global().gauge("bench.wall_ns", &format!("chaos:{}", class.label())).set(nanos);
 
@@ -116,14 +119,14 @@ fn main() {
 
     // Determinism gate: the combined hostile batch, serial vs. sharded.
     eprintln!("chaos_survey: determinism check over {} inputs ...", combined.len());
-    let serial = survey::run_bytes(&combined, SurveyOptions::default(), &budget);
+    let serial = survey::survey(registry, &combined, serial_opts, 0);
     let thread_counts = [1usize, 2, 4, 8];
     for threads in thread_counts {
         let opts = SurveyOptions {
             lint: RunOptions { threads: Some(threads), ..RunOptions::default() },
             ..SurveyOptions::default()
         };
-        let parallel = survey::run_parallel_bytes(&combined, opts, &budget);
+        let parallel = survey::survey(registry, &combined, opts, 0);
         assert_eq!(
             serial, parallel,
             "threads={threads}: hostile-input report diverged from the serial baseline"

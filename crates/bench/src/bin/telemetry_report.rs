@@ -111,7 +111,7 @@ fn main() {
     // One untimed warmup so neither side pays the cold-cache pass.
     telemetry::set_metrics_enabled(false);
     telemetry::trace::set_trace_level(TraceLevel::Off);
-    let _ = survey::run_parallel_slice(&corpus, serial_opts);
+    let _ = survey::survey(serial_opts.registry(), &corpus, serial_opts, 0);
     let mut baseline_secs = f64::INFINITY;
     let mut instrumented_secs = f64::INFINITY;
     // Overhead is the minimum over passes of the *paired* on/off ratio: the
@@ -127,7 +127,7 @@ fn main() {
         telemetry::set_metrics_enabled(false);
         telemetry::trace::set_trace_level(TraceLevel::Off);
         let watch = Stopwatch::start();
-        let report = survey::run_parallel_slice(&corpus, serial_opts);
+        let report = survey::survey(serial_opts.registry(), &corpus, serial_opts, 0);
         let secs = watch.elapsed_secs();
         println!(
             "pass {pass}: baseline     (telemetry off) {secs:>8.3}s  {:>12.0} certs/sec",
@@ -141,7 +141,7 @@ fn main() {
         telemetry::trace::set_trace_level(TraceLevel::Spans);
         telemetry::set_metrics_enabled(true);
         let watch = Stopwatch::start();
-        let report = survey::run_parallel_slice(&corpus, serial_opts);
+        let report = survey::survey(serial_opts.registry(), &corpus, serial_opts, 0);
         let secs = watch.elapsed_secs();
         telemetry::set_metrics_enabled(false);
         telemetry::trace::set_trace_level(TraceLevel::Off);
@@ -161,7 +161,7 @@ fn main() {
     telemetry::trace::set_trace_level(TraceLevel::Spans);
     telemetry::set_metrics_enabled(true);
     let watch = Stopwatch::start();
-    let parallel_report = survey::run_parallel_slice(&corpus, opts);
+    let parallel_report = survey::survey(opts.registry(), &corpus, opts, 0);
     let parallel_secs = watch.elapsed_secs();
     telemetry::set_metrics_enabled(false);
     telemetry::trace::set_trace_level(saved_level);

@@ -115,12 +115,12 @@ pub fn telemetry_args() -> TelemetryGuard {
 
 /// Run the standard survey over a fresh corpus.
 ///
-/// Uses the sharded parallel pipeline (sized by `UNICERT_THREADS` or the
-/// machine, see `RunOptions::effective_threads`); by the determinism
-/// guarantee its report is byte-identical to the serial pass, so every
-/// table/figure binary inherits the speedup without output drift.
+/// Uses the sharded pipeline (sized by `UNICERT_THREADS` or the machine,
+/// see `RunOptions::effective_threads`); by the determinism guarantee its
+/// report is byte-identical to the serial pass, so every table/figure
+/// binary inherits the speedup without output drift.
 pub fn standard_survey(config: CorpusConfig) -> SurveyReport {
-    survey::run_parallel(CorpusGenerator::new(config), SurveyOptions::default())
+    survey::run(CorpusGenerator::new(config), SurveyOptions::default())
 }
 
 /// Resolve the value of one `--flag value` / `--flag=value` argument pair

@@ -1,21 +1,31 @@
-//! The end-to-end compliance survey pipeline (§4): corpus → precertificate
-//! filter → Unicert classification → linting → aggregation.
+//! The end-to-end compliance survey pipeline (§4): CT entry →
+//! precertificate filter → Unicert classification → linting →
+//! aggregation.
 //!
 //! One [`SurveyReport`] carries everything Tables 1, 2 and 11 and Figures
 //! 2, 3 and 4 need.
+//!
+//! Every input form — a generated [`CorpusEntry`], a store [`RawEntry`],
+//! bare bytes — reduces to one [`SurveyInput`]: a certificate, as DER or
+//! already parsed, plus optional [`CertMeta`]. One function, [`survey`],
+//! cuts a slice of inputs into chunks and runs them on the worker pool;
+//! [`run`] does the same for a streaming generator. One kernel parses DER
+//! once into a [`CertView`] and folds every certificate into the chunk's
+//! report.
 
 use crate::classify;
 use crate::pool::payload_string;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 use unicert_asn1::{DateTime, ParseBudget};
 use unicert_corpus::{CertMeta, CorpusEntry, RawEntry, TrustStatus};
 use unicert_lint::{NoncomplianceType, RunOptions, Severity};
-use unicert_x509::CertView;
+use unicert_x509::{CertView, Certificate};
 
-/// Outcome taxonomy for one raw-DER input fed to the hostile-input survey
-/// path ([`run_bytes`] / [`run_parallel_bytes`]).
+/// Outcome taxonomy for one survey input that carries no metadata (bare
+/// bytes, the hostile-input case).
 ///
 /// Every input lands in exactly one class; [`SurveyReport::parse_outcomes`]
 /// histograms the classes and the `parse.outcome{class}` telemetry counters
@@ -154,10 +164,10 @@ impl StageMetrics {
 
 }
 
-/// Everything one shard (or the serial loop) records into while metrics
-/// are enabled: the stage histograms plus a [`unicert_lint::RunTally`]
-/// batching the per-lint counters. Flushed once per shard so the hot
-/// loop touches no global atomics for counting (DESIGN.md §8).
+/// Everything one shard records into while metrics are enabled: the stage
+/// histograms plus a [`unicert_lint::RunTally`] batching the per-lint
+/// counters. Flushed once per shard so the hot loop touches no global
+/// atomics for counting (DESIGN.md §8).
 struct ShardTelemetry {
     stages: StageMetrics,
     tally: unicert_lint::RunTally,
@@ -284,8 +294,8 @@ pub struct SurveyReport {
     /// Certificates whose processing panicked, contained per cert (stream
     /// order; identical for serial and sharded runs).
     pub quarantine: Vec<QuarantineEntry>,
-    /// [`ParseOutcome::class`] → count, for inputs fed through the raw-DER
-    /// path ([`run_bytes`]); empty for pre-parsed corpus runs.
+    /// [`ParseOutcome::class`] → count, for inputs that carry no metadata
+    /// (bare bytes); empty for corpus and store runs.
     pub parse_outcomes: BTreeMap<&'static str, usize>,
     /// Compliance profile the report was linted under (`""` until a run
     /// path tags it; the default `webpki` renders invisibly in `Debug` so
@@ -337,6 +347,18 @@ pub struct SurveyOptions {
 impl Default for SurveyOptions {
     fn default() -> Self {
         SurveyOptions { lint: RunOptions::default(), field_matrix: true }
+    }
+}
+
+impl SurveyOptions {
+    /// The lint registry these options select: the shared registry of
+    /// `self.lint.effective_profile()` (explicit option, `UNICERT_PROFILE`
+    /// environment variable, or the `webpki` default).
+    pub fn registry(&self) -> &'static unicert_lint::Registry {
+        // `effective_profile` only returns registered names, so the
+        // fallback arm is belt-and-braces.
+        unicert_lint::profiles::registry(self.lint.effective_profile())
+            .unwrap_or_else(unicert_corpus::lint_registry)
     }
 }
 
@@ -492,13 +514,173 @@ fn hex_serial(serial: &[u8]) -> String {
     s
 }
 
-/// Fold one corpus entry into `report` — the shared kernel of the serial
-/// and sharded survey paths.
+/// One survey input as the kernel reads it.
+pub enum Input<'a> {
+    /// DER, parsed once into a zero-copy [`CertView`], with the
+    /// ground-truth metadata when the caller has it.
+    Der(&'a [u8], Option<&'a CertMeta>),
+    /// A certificate its producer already parsed, linted in place, with
+    /// its ground-truth metadata.
+    Parsed(&'a Certificate, &'a CertMeta),
+}
+
+/// One survey input: a certificate, as DER or already parsed, plus the
+/// ground-truth [`CertMeta`] when the caller has it.
 ///
-/// `stages` (present iff metrics are enabled) carries the per-stage latency
-/// histograms; the stage blocks below are contiguous so consecutive
-/// timestamps partition the whole per-certificate cost. Telemetry never
-/// feeds back into `report` — the fold is byte-identical with or without it.
+/// The survey reduces every input form to this shape:
+///
+/// * [`CorpusEntry`] — a generated certificate, linted from the tree the
+///   generator already parsed, with its metadata borrowed;
+/// * [`RawEntry`] — a store record, its DER borrowed from a segment
+///   buffer;
+/// * `Vec<u8>` — bare bytes, possibly hostile, with metadata inferred
+///   from the certificate itself ([`CertMeta::inferred_view`]).
+///
+/// Whether DER comes with metadata decides how DER that does not parse
+/// is reported — the one policy difference between the forms:
+///
+/// * **With metadata** nothing goes into
+///   [`SurveyReport::parse_outcomes`]. A parse error is quarantined at
+///   stage `"parse"` with cert id `#<index>` and detail
+///   `record does not parse (<class>)`, so a caller feeding unvalidated
+///   records degrades to one skipped certificate. The store's incremental
+///   survey reads such an entry as its per-record parse proof failing: it
+///   discards the report and classifies the shard through its full
+///   segment validator (see `unicert_store::resume`).
+/// * **Without metadata** the input lands in exactly one [`ParseOutcome`]
+///   class in `parse_outcomes` (and, metrics on, one
+///   `parse.outcome{class}` tick). A rejected input is only counted.
+///
+/// Either way a parse-stage panic quarantines the input at stage
+/// `"parse"` with the panic payload as detail, and every rejected input
+/// still counts in [`SurveyReport::entries`].
+pub trait SurveyInput {
+    /// This input's certificate and metadata.
+    fn input(&self) -> Input<'_>;
+}
+
+impl SurveyInput for CorpusEntry {
+    fn input(&self) -> Input<'_> {
+        Input::Parsed(&self.cert, &self.meta)
+    }
+}
+
+impl SurveyInput for RawEntry<'_> {
+    fn input(&self) -> Input<'_> {
+        Input::Der(self.der, Some(&self.meta))
+    }
+}
+
+impl SurveyInput for Vec<u8> {
+    fn input(&self) -> Input<'_> {
+        Input::Der(self, None)
+    }
+}
+
+/// A borrowed input, as a slice chunk yields it.
+impl<T: SurveyInput> SurveyInput for &T {
+    fn input(&self) -> Input<'_> {
+        (**self).input()
+    }
+}
+
+/// Fold one input into `report` — the survey's one kernel.
+///
+/// A parsed input goes straight to the precertificate filter. DER is
+/// parsed into a [`CertView`] under a fresh state of `budget`, inside
+/// [`catch_unwind`] together with metadata inference; DER that does not
+/// parse is reported by the [`SurveyInput`] policy. Every certificate that
+/// passes the precertificate filter runs through [`accumulate_ctx`].
+fn accumulate(
+    report: &mut SurveyReport,
+    registry: &unicert_lint::Registry,
+    index: u64,
+    input: &impl SurveyInput,
+    opts: &SurveyOptions,
+    budget: &ParseBudget,
+    telemetry: Option<&mut ShardTelemetry>,
+) {
+    report.entries += 1;
+    let (der, known) = match input.input() {
+        Input::Der(der, known) => (der, known),
+        Input::Parsed(cert, meta) => {
+            // One certificate = one flight-recorder unit: clear this
+            // worker's ring so a later quarantine dump holds exactly this
+            // certificate's history.
+            unicert_telemetry::flight::begin_unit(index);
+            // §4.1: precertificates are filtered out by the poison
+            // extension.
+            if cert.tbs.is_precertificate() {
+                report.precerts_filtered += 1;
+                return;
+            }
+            let ctx = unicert_lint::LintContext::new(cert);
+            return accumulate_ctx(report, registry, index, &ctx, meta, opts, telemetry);
+        }
+    };
+    // Begin the unit before parsing so a parse-stage failure dumps a ring
+    // holding only this input's history. The unit is begun again for
+    // inputs that parse, dropping this breadcrumb — harmless, since the
+    // parse stage is over by then.
+    unicert_telemetry::flight::begin_unit(index);
+    unicert_telemetry::flight::record("stage", "parse", der.len() as u64);
+    // Zero-copy decode: the view borrows `der` (through the budget state),
+    // so nothing is copied out of the input on the hot path.
+    let state = budget.start();
+    let parsed = catch_unwind(AssertUnwindSafe(|| {
+        CertView::parse_der_budgeted(der, &state).map(|view| {
+            let meta =
+                known.map_or_else(|| Cow::Owned(CertMeta::inferred_view(&view)), Cow::Borrowed);
+            (view, meta)
+        })
+    }));
+    if known.is_none() {
+        let class = match &parsed {
+            Err(_) => ParseOutcome::Quarantined.class(),
+            Ok(Err(e)) => ParseOutcome::from_error(e).class(),
+            Ok(Ok(_)) => ParseOutcome::Ok.class(),
+        };
+        *report.parse_outcomes.entry(class).or_default() += 1;
+        if unicert_telemetry::metrics_enabled() {
+            unicert_telemetry::global().counter("parse.outcome", class).inc();
+        }
+    }
+    let (view, meta) = match parsed {
+        Ok(Ok(parsed)) => parsed,
+        Ok(Err(e)) => {
+            if known.is_some() {
+                let detail = format!("record does not parse ({})", e.class());
+                push_quarantine(report, index, format!("#{index}"), "parse", detail);
+            }
+            return;
+        }
+        Err(payload) => {
+            let detail = payload_string(&*payload);
+            return push_quarantine(report, index, format!("#{index}"), "parse", detail);
+        }
+    };
+    unicert_telemetry::flight::begin_unit(index);
+    // §4.1, as above.
+    if view.is_precertificate() {
+        report.precerts_filtered += 1;
+        return;
+    }
+    // One decode-once context shared by classification, the lint run, and
+    // the field-matrix scan. A panic in any stage only poisons this
+    // certificate's context, which is dropped with the quarantined cert.
+    let ctx = unicert_lint::LintContext::from_view(&view);
+    accumulate_ctx(report, registry, index, &ctx, &meta, opts, telemetry);
+}
+
+/// The aggregation fold: everything after the precertificate filter,
+/// reading the certificate exclusively through the
+/// [`unicert_lint::LintContext`] accessors.
+///
+/// `telemetry` (present iff metrics are enabled) carries the per-stage
+/// latency histograms; the stage blocks below are contiguous so
+/// consecutive timestamps partition the whole per-certificate cost.
+/// Telemetry never feeds back into `report` — the fold is byte-identical
+/// with or without it.
 ///
 /// # Panic quarantine
 ///
@@ -509,57 +691,6 @@ fn hex_serial(serial: &[u8]) -> String {
 /// global stream position) and **no** aggregate beyond `entries`/`total`
 /// changes, so one hostile certificate never skews another's statistics
 /// and serial/sharded runs stay byte-identical.
-fn accumulate(
-    report: &mut SurveyReport,
-    registry: &unicert_lint::Registry,
-    index: u64,
-    entry: &CorpusEntry,
-    opts: &SurveyOptions,
-    telemetry: Option<&mut ShardTelemetry>,
-) {
-    // One certificate = one flight-recorder unit: clear this worker's ring
-    // so a later quarantine dump holds exactly this certificate's history.
-    unicert_telemetry::flight::begin_unit(index);
-    report.entries += 1;
-    // §4.1: precertificates are filtered out by the poison extension.
-    if entry.cert.tbs.is_precertificate() {
-        report.precerts_filtered += 1;
-        return;
-    }
-    // One decode-once context shared by classification, the 95-lint run,
-    // and the field-matrix scan. A panic in any stage only poisons this
-    // certificate's context, which is dropped with the quarantined cert.
-    let ctx = unicert_lint::LintContext::new(&entry.cert);
-    accumulate_ctx(report, registry, index, &ctx, &entry.meta, opts, telemetry);
-}
-
-/// [`accumulate`] over the zero-copy [`CertView`] — the borrowed hot path.
-/// Same stages, same quarantine containment, same report bytes as the
-/// owned kernel on the same DER.
-fn accumulate_view(
-    report: &mut SurveyReport,
-    registry: &unicert_lint::Registry,
-    index: u64,
-    view: &CertView<'_>,
-    meta: &CertMeta,
-    opts: &SurveyOptions,
-    telemetry: Option<&mut ShardTelemetry>,
-) {
-    unicert_telemetry::flight::begin_unit(index);
-    report.entries += 1;
-    // §4.1: precertificates are filtered out by the poison extension.
-    if view.is_precertificate() {
-        report.precerts_filtered += 1;
-        return;
-    }
-    let ctx = unicert_lint::LintContext::from_view(view);
-    accumulate_ctx(report, registry, index, &ctx, meta, opts, telemetry);
-}
-
-/// The source-agnostic aggregation kernel: everything after the
-/// precertificate filter, reading the certificate exclusively through the
-/// [`unicert_lint::LintContext`] accessors so the owned and borrowed paths
-/// share one fold.
 fn accumulate_ctx(
     report: &mut SurveyReport,
     registry: &unicert_lint::Registry,
@@ -741,392 +872,117 @@ fn accumulate_ctx(
     stage_mark(&mut stamp, stages.map(|s| &s.aggregate));
 }
 
-/// Resolve the lint registry a run's options select: the shared registry
-/// of `opts.lint.effective_profile()` (explicit option, `UNICERT_PROFILE`
-/// environment variable, or the `webpki` default).
-fn resolve_registry(opts: &SurveyOptions) -> &'static unicert_lint::Registry {
-    // `effective_profile` only returns registered names, so the fallback
-    // arm is belt-and-braces.
-    unicert_lint::profiles::registry(opts.lint.effective_profile())
-        .unwrap_or_else(unicert_corpus::lint_registry)
-}
-
-/// Run the survey over a corpus stream on the calling thread, linting
-/// under the profile `opts.lint` selects.
-pub fn run(entries: impl Iterator<Item = CorpusEntry>, opts: SurveyOptions) -> SurveyReport {
-    run_with(resolve_registry(&opts), entries, opts)
-}
-
-/// [`run`] with an explicit lint registry.
+/// Survey `inputs`, whose first element sits at global stream position
+/// `base` — the survey's one entry point over a slice.
 ///
-/// The default paths share the process-wide registry; this entry point
-/// exists for fault-injection tests that register deliberately panicking
-/// lints without contaminating the shared registry.
-pub fn run_with(
+/// `opts.lint.effective_threads()` workers survey the inputs in chunks of
+/// `opts.lint.effective_shard_size()` and the chunk reports merge in chunk
+/// order; at one thread the whole slice is one chunk, surveyed inline on
+/// the calling thread. Every input carries its global index, so the report
+/// is **byte-identical** for any thread count and independent of how the
+/// caller cuts a stream into slices (the shard-merge invariant, DESIGN.md
+/// §7). That is what lets the store survey a persistent corpus one store
+/// shard at a time and still reproduce the one-shot report.
+///
+/// `registry` is usually [`SurveyOptions::registry`]; fault-injection
+/// tests pass a registry with deliberately panicking lints instead. DER
+/// parses under the default [`ParseBudget`], one fresh state per input:
+/// the same parse a store segment validator runs as its "every record
+/// parses" proof.
+pub fn survey<T: SurveyInput + Sync>(
     registry: &unicert_lint::Registry,
-    entries: impl Iterator<Item = CorpusEntry>,
-    opts: SurveyOptions,
-) -> SurveyReport {
-    let mut telemetry = ShardTelemetry::if_enabled(registry);
-    let _span = unicert_telemetry::span!("survey.run");
-    let mut report = SurveyReport::default();
-    for (index, entry) in entries.enumerate() {
-        accumulate(&mut report, registry, index as u64, &entry, &opts, telemetry.as_mut());
-    }
-    ShardTelemetry::flush(telemetry, registry);
-    report.profile = registry.profile_name();
-    report
-}
-
-/// Run the survey over a corpus stream on a sharded worker pool.
-///
-/// The stream is cut into deterministic chunks of
-/// `opts.lint.effective_shard_size()` entries; `opts.lint.effective_threads()`
-/// workers survey the chunks in parallel, and the per-chunk reports merge in
-/// chunk order. The result is **byte-identical** to [`run`] for any thread
-/// count — see DESIGN.md §7 for the invariant argument.
-///
-/// Production of the stream itself is serialized (the corpus generator owns
-/// one sequential RNG); classification + linting, the dominant cost, runs on
-/// the pool. For a pre-materialized corpus use [`run_parallel_slice`], which
-/// shards without cloning or generation handoff.
-pub fn run_parallel(
-    entries: impl Iterator<Item = CorpusEntry> + Send,
-    opts: SurveyOptions,
-) -> SurveyReport {
-    use unicert_corpus::IntoChunks;
-    let threads = opts.lint.effective_threads();
-    if threads <= 1 {
-        return run(entries, opts);
-    }
-    let registry = resolve_registry(&opts);
-    let _span = unicert_telemetry::span!("survey.run_parallel", "threads={threads}");
-    let shard_size = opts.lint.effective_shard_size();
-    let shards = crate::pool::map_ordered(entries.chunked(shard_size), threads, |chunk| {
-        let _span =
-            unicert_telemetry::span!(verbose: "survey.shard", "{}", chunk.entries.len());
-        let mut telemetry = ShardTelemetry::if_enabled(registry);
-        let mut shard = SurveyReport::default();
-        let base = chunk.index as u64 * shard_size as u64;
-        for (offset, entry) in chunk.entries.iter().enumerate() {
-            accumulate(
-                &mut shard,
-                registry,
-                base + offset as u64,
-                entry,
-                &opts,
-                telemetry.as_mut(),
-            );
-        }
-        ShardTelemetry::flush(telemetry, registry);
-        shard
-    });
-    let mut merged = merge_in_order(shards);
-    merged.profile = registry.profile_name();
-    merged
-}
-
-/// Run the survey over an in-memory corpus slice on a sharded worker pool.
-///
-/// Same determinism guarantee as [`run_parallel`], but shards are borrowed
-/// sub-slices (`slice.chunks()`), so there is no producer serialization at
-/// all — this is the path the throughput benchmark measures.
-pub fn run_parallel_slice(entries: &[CorpusEntry], opts: SurveyOptions) -> SurveyReport {
-    run_parallel_slice_with(resolve_registry(&opts), entries, opts)
-}
-
-/// [`run_parallel_slice`] with an explicit lint registry — the sharded
-/// counterpart of [`run_with`], for fault-injection tests.
-pub fn run_parallel_slice_with(
-    registry: &unicert_lint::Registry,
-    entries: &[CorpusEntry],
-    opts: SurveyOptions,
-) -> SurveyReport {
-    run_parallel_slice_from(registry, entries, opts, 0)
-}
-
-/// [`run_parallel_slice_with`] over a slice that starts at global stream
-/// position `base` rather than 0.
-///
-/// This is the incremental-survey building block (`unicert-store`): a
-/// persistent corpus is surveyed one store shard at a time, and each
-/// shard's entries must carry their *global* indexes so quarantine lists
-/// from resumed runs merge into exactly the one-shot list. Internal
-/// chunking still follows `opts.lint.effective_shard_size()`, so the
-/// result is byte-identical for any thread count and independent of how
-/// the caller cuts the stream into slices (the shard-merge invariant,
-/// DESIGN.md §7).
-pub fn run_parallel_slice_from(
-    registry: &unicert_lint::Registry,
-    entries: &[CorpusEntry],
+    inputs: &[T],
     opts: SurveyOptions,
     base: u64,
 ) -> SurveyReport {
-    let threads = opts.lint.effective_threads();
-    if threads <= 1 {
-        let _span = unicert_telemetry::span!("survey.run_parallel_slice", "threads=1");
-        let mut telemetry = ShardTelemetry::if_enabled(registry);
-        let mut report = SurveyReport::default();
-        for (index, entry) in entries.iter().enumerate() {
-            accumulate(
-                &mut report,
-                registry,
-                base + index as u64,
-                entry,
-                &opts,
-                telemetry.as_mut(),
-            );
-        }
-        ShardTelemetry::flush(telemetry, registry);
-        report.profile = registry.profile_name();
-        return report;
+    survey_chunks(registry, slice_chunks(inputs, &opts, base), opts, &ParseBudget::default())
+}
+
+/// Survey a corpus stream under the profile `opts.lint` selects.
+///
+/// For streaming generators: production of the stream is serialized (the
+/// corpus generator owns one sequential RNG) while the survey of each
+/// chunk runs on the `opts.lint.effective_threads()` workers. At one
+/// thread the stream is one chunk, surveyed as it is produced, so no
+/// entries are buffered. Same report as [`survey`] over the collected
+/// stream.
+pub fn run(entries: impl Iterator<Item = CorpusEntry> + Send, opts: SurveyOptions) -> SurveyReport {
+    use unicert_corpus::IntoChunks;
+    let (registry, budget) = (opts.registry(), &ParseBudget::default());
+    if opts.lint.effective_threads() <= 1 {
+        return survey_chunks(registry, std::iter::once((0, entries)), opts, budget);
     }
-    let _span =
-        unicert_telemetry::span!("survey.run_parallel_slice", "threads={threads}");
     let shard_size = opts.lint.effective_shard_size();
-    let chunks = entries.chunks(shard_size).enumerate();
-    let shards = crate::pool::map_ordered(chunks, threads, |(chunk_idx, chunk)| {
-        let _span = unicert_telemetry::span!(verbose: "survey.shard", "{}", chunk.len());
-        let mut telemetry = ShardTelemetry::if_enabled(registry);
-        let mut shard = SurveyReport::default();
-        let chunk_base = base + chunk_idx as u64 * shard_size as u64;
-        for (offset, entry) in chunk.iter().enumerate() {
-            accumulate(
-                &mut shard,
-                registry,
-                chunk_base + offset as u64,
-                entry,
-                &opts,
-                telemetry.as_mut(),
-            );
-        }
-        ShardTelemetry::flush(telemetry, registry);
-        shard
-    });
-    let mut merged = merge_in_order(shards);
-    merged.profile = registry.profile_name();
-    merged
+    let chunks = entries
+        .chunked(shard_size)
+        .map(|chunk| ((chunk.index * shard_size) as u64, chunk.entries));
+    survey_chunks(registry, chunks, opts, budget)
 }
 
-/// Fold one borrowed record into `report`: parse its DER into a
-/// [`CertView`] and run the view kernel. The parse uses the default
-/// [`ParseBudget`] — the same parse, under the same budget, that the
-/// store's full segment validator runs as its "every record parses"
-/// proof. The store's incremental survey relies on that: it skips the
-/// validator's parse and lets this one serve as the proof (see
-/// `unicert_store::resume`).
-fn accumulate_record(
-    report: &mut SurveyReport,
-    registry: &unicert_lint::Registry,
-    index: u64,
-    entry: &RawEntry<'_>,
-    opts: &SurveyOptions,
-    telemetry: Option<&mut ShardTelemetry>,
-) {
-    let budget = ParseBudget::default();
-    let state = budget.start();
-    match CertView::parse_der_budgeted(entry.der, &state) {
-        Ok(view) => {
-            accumulate_view(report, registry, index, &view, &entry.meta, opts, telemetry);
-        }
-        Err(e) => {
-            // A record that does not parse is quarantined at stage
-            // "parse" instead of panicking, so a caller feeding
-            // unvalidated records degrades to one skipped certificate. The
-            // store's incremental survey reads such an entry as the parse
-            // proof failing: it discards this report and classifies the
-            // shard through its full segment validator.
-            unicert_telemetry::flight::begin_unit(index);
-            report.entries += 1;
-            push_quarantine(
-                report,
-                index,
-                format!("#{index}"),
-                "parse",
-                format!("record does not parse ({})", e.class()),
-            );
-        }
-    }
-}
-
-/// [`run_parallel_slice_from`] over zero-copy records: each certificate is
-/// parsed into a [`CertView`] of its borrowed DER at lint time — no owned
-/// [`unicert_x509::Certificate`] tree, no per-certificate copy of the DER.
-/// Chunking, global indexing, and merge order are identical to the owned
-/// entry point, so a store-resumed survey through this path stays
-/// byte-identical to a one-shot in-memory survey of the same corpus at any
-/// thread count (the shard-merge invariant, DESIGN.md §7).
+/// [`survey`] over store records. Kept only for the benchmark package's
+/// adapter; in-repo code calls [`survey`].
 pub fn run_parallel_records_from(
     registry: &unicert_lint::Registry,
     records: &[RawEntry<'_>],
     opts: SurveyOptions,
     base: u64,
 ) -> SurveyReport {
-    let threads = opts.lint.effective_threads();
-    if threads <= 1 {
-        let _span = unicert_telemetry::span!("survey.run_parallel_records", "threads=1");
-        let mut telemetry = ShardTelemetry::if_enabled(registry);
-        let mut report = SurveyReport::default();
-        for (index, entry) in records.iter().enumerate() {
-            accumulate_record(
-                &mut report,
-                registry,
-                base + index as u64,
-                entry,
-                &opts,
-                telemetry.as_mut(),
-            );
-        }
-        ShardTelemetry::flush(telemetry, registry);
-        report.profile = registry.profile_name();
-        return report;
-    }
-    let _span =
-        unicert_telemetry::span!("survey.run_parallel_records", "threads={threads}");
-    let shard_size = opts.lint.effective_shard_size();
-    let chunks = records.chunks(shard_size).enumerate();
-    let shards = crate::pool::map_ordered(chunks, threads, |(chunk_idx, chunk)| {
-        let _span = unicert_telemetry::span!(verbose: "survey.shard", "{}", chunk.len());
-        let mut telemetry = ShardTelemetry::if_enabled(registry);
-        let mut shard = SurveyReport::default();
-        let chunk_base = base + chunk_idx as u64 * shard_size as u64;
-        for (offset, entry) in chunk.iter().enumerate() {
-            accumulate_record(
-                &mut shard,
-                registry,
-                chunk_base + offset as u64,
-                entry,
-                &opts,
-                telemetry.as_mut(),
-            );
-        }
-        ShardTelemetry::flush(telemetry, registry);
-        shard
-    });
-    let mut merged = merge_in_order(shards);
-    merged.profile = registry.profile_name();
-    merged
+    survey(registry, records, opts, base)
 }
 
-/// Fold one raw DER input into `report` — the kernel of the hostile-input
-/// survey paths [`run_bytes`] / [`run_parallel_bytes`].
-///
-/// Parsing (plus metadata inference) runs under the certificate's
-/// [`ParseBudget`] and inside [`catch_unwind`]; the input lands in exactly
-/// one [`ParseOutcome`] class in `report.parse_outcomes` (and, metrics on,
-/// one `parse.outcome{class}` tick). Only inputs that parse continue into
-/// [`accumulate`].
-fn accumulate_bytes(
-    report: &mut SurveyReport,
-    registry: &unicert_lint::Registry,
-    index: u64,
-    der: &[u8],
-    opts: &SurveyOptions,
-    budget: &ParseBudget,
-    telemetry: Option<&mut ShardTelemetry>,
-) {
-    // Begin the unit before parsing so a parse-stage panic dumps a ring
-    // holding only this input's history. `accumulate` re-begins the same
-    // unit for inputs that parse, dropping this breadcrumb — harmless,
-    // since the parse stage is over by then.
-    unicert_telemetry::flight::begin_unit(index);
-    unicert_telemetry::flight::record("stage", "parse", der.len() as u64);
-    // Zero-copy decode: the view borrows `der` (through the budget state),
-    // so nothing is copied out of the input on the hot path. Error values
-    // and charge order are identical to `Certificate::parse_der_budgeted`.
-    let state = budget.start();
-    let parsed = catch_unwind(AssertUnwindSafe(|| {
-        CertView::parse_der_budgeted(der, &state).map(|view| {
-            let meta = CertMeta::inferred_view(&view);
-            (view, meta)
-        })
-    }));
-    let class = match &parsed {
-        Err(_) => ParseOutcome::Quarantined.class(),
-        Ok(Err(e)) => ParseOutcome::from_error(e).class(),
-        Ok(Ok(_)) => ParseOutcome::Ok.class(),
-    };
-    *report.parse_outcomes.entry(class).or_default() += 1;
-    if unicert_telemetry::metrics_enabled() {
-        unicert_telemetry::global().counter("parse.outcome", class).inc();
-    }
-    match parsed {
-        Err(payload) => {
-            report.entries += 1;
-            let detail = payload_string(&*payload);
-            push_quarantine(report, index, format!("#{index}"), "parse", detail);
-        }
-        Ok(Err(_)) => {
-            // Rejected with a structural error: counted above, nothing to
-            // survey. Still an inspected entry.
-            report.entries += 1;
-        }
-        Ok(Ok((view, meta))) => {
-            accumulate_view(report, registry, index, &view, &meta, opts, telemetry);
-        }
-    }
-}
-
-/// Run the survey over raw DER inputs on the calling thread.
-///
-/// This is the hostile-input entry point: every input is parsed under
-/// `budget`, classified into [`SurveyReport::parse_outcomes`], and — only
-/// if it parses — surveyed like a corpus entry (with metadata inferred
-/// from the certificate itself via [`CertMeta::inferred`]). No input can
-/// panic the process: parse-stage panics quarantine with stage `"parse"`
-/// and a `#<index>` cert id.
+/// [`survey`] over bare bytes at `opts.lint.effective_threads()` workers,
+/// each parse under a fresh state of `budget`. Kept only for the benchmark
+/// package's adapter; in-repo code calls [`survey`].
 pub fn run_bytes(ders: &[Vec<u8>], opts: SurveyOptions, budget: &ParseBudget) -> SurveyReport {
-    let registry = resolve_registry(&opts);
-    let mut telemetry = ShardTelemetry::if_enabled(registry);
-    let _span = unicert_telemetry::span!("survey.run_bytes");
-    let mut report = SurveyReport::default();
-    for (index, der) in ders.iter().enumerate() {
-        accumulate_bytes(
-            &mut report,
-            registry,
-            index as u64,
-            der,
-            &opts,
-            budget,
-            telemetry.as_mut(),
-        );
-    }
-    ShardTelemetry::flush(telemetry, registry);
-    report.profile = registry.profile_name();
-    report
+    survey_chunks(opts.registry(), slice_chunks(ders, &opts, 0), opts, budget)
 }
 
-/// Sharded [`run_bytes`] — byte-identical to the serial pass (including
-/// the quarantine list and parse-outcome counters) for any thread count,
-/// by the same shard-order-merge argument as [`run_parallel_slice`].
+/// The same as [`run_bytes`]. Kept only for the benchmark package's
+/// adapter; in-repo code calls [`survey`].
 pub fn run_parallel_bytes(
     ders: &[Vec<u8>],
     opts: SurveyOptions,
     budget: &ParseBudget,
 ) -> SurveyReport {
-    let registry = resolve_registry(&opts);
+    run_bytes(ders, opts, budget)
+}
+
+/// `inputs` cut into chunks, each paired with its first element's global
+/// stream position: `opts.lint.effective_shard_size()` inputs per chunk,
+/// or one chunk at one thread, where cutting would only add merges.
+fn slice_chunks<'a, T: Sync>(
+    inputs: &'a [T],
+    opts: &SurveyOptions,
+    base: u64,
+) -> impl Iterator<Item = (u64, &'a [T])> + Send {
+    let size = if opts.lint.effective_threads() <= 1 {
+        inputs.len().max(1)
+    } else {
+        opts.lint.effective_shard_size()
+    };
+    inputs.chunks(size).enumerate().map(move |(i, chunk)| (base + (i * size) as u64, chunk))
+}
+
+/// The one shard loop: survey each `(base, chunk)` pair into its own
+/// report on the worker pool, then merge the reports in chunk order.
+fn survey_chunks<C>(
+    registry: &unicert_lint::Registry,
+    chunks: impl Iterator<Item = (u64, C)> + Send,
+    opts: SurveyOptions,
+    budget: &ParseBudget,
+) -> SurveyReport
+where
+    C: IntoIterator + Send,
+    C::Item: SurveyInput,
+{
     let threads = opts.lint.effective_threads();
-    if threads <= 1 {
-        return run_bytes(ders, opts, budget);
-    }
-    let _span = unicert_telemetry::span!("survey.run_parallel_bytes", "threads={threads}");
-    let shard_size = opts.lint.effective_shard_size();
-    let chunks = ders.chunks(shard_size).enumerate();
-    let shards = crate::pool::map_ordered(chunks, threads, |(chunk_idx, chunk)| {
-        let _span = unicert_telemetry::span!(verbose: "survey.shard", "{}", chunk.len());
+    let _span = unicert_telemetry::span!("survey.run", "threads={threads}");
+    let shards = crate::pool::map_ordered(chunks, threads, |(base, chunk)| {
+        let _span = unicert_telemetry::span!(verbose: "survey.shard", "base={base}");
         let mut telemetry = ShardTelemetry::if_enabled(registry);
         let mut shard = SurveyReport::default();
-        let base = chunk_idx as u64 * shard_size as u64;
-        for (offset, der) in chunk.iter().enumerate() {
-            accumulate_bytes(
-                &mut shard,
-                registry,
-                base + offset as u64,
-                der,
-                &opts,
-                budget,
-                telemetry.as_mut(),
-            );
+        for (index, input) in (base..).zip(chunk) {
+            accumulate(&mut shard, registry, index, &input, &opts, budget, telemetry.as_mut());
         }
         ShardTelemetry::flush(telemetry, registry);
         shard
@@ -1136,12 +992,13 @@ pub fn run_parallel_bytes(
     merged
 }
 
-/// Fold per-shard reports, already sorted in shard order, into one.
+/// Fold per-shard reports, already sorted in shard order, into the first.
 /// Records the full merge cost as one `survey.merge_ns` observation.
 fn merge_in_order(shards: Vec<SurveyReport>) -> SurveyReport {
     let _span = unicert_telemetry::span!("survey.merge", "{}", shards.len());
     let started = unicert_telemetry::metrics_enabled().then(Instant::now);
-    let mut merged = SurveyReport::default();
+    let mut shards = shards.into_iter();
+    let mut merged = shards.next().unwrap_or_default();
     for shard in shards {
         merged.merge(shard);
     }
@@ -1175,8 +1032,6 @@ fn subject_field(oid: &unicert_asn1::Oid) -> Option<usize> {
 /// pure half of the Figure 4 matrix, computed before any report mutation
 /// so a panic here quarantines the certificate without leaving a
 /// half-applied row behind. Repeated subject attributes count once each.
-/// Reads exclusively through the context so the owned and borrowed survey
-/// paths share it.
 fn field_matrix_marks(ctx: &unicert_lint::LintContext<'_>) -> FieldMarks {
     use unicert_asn1::oid::known;
     use unicert_lint::helpers::Which;
@@ -1221,7 +1076,7 @@ mod tests {
     use super::*;
     use unicert_corpus::{CorpusConfig, CorpusGenerator};
 
-    fn survey(size: usize) -> SurveyReport {
+    fn survey_generated(size: usize) -> SurveyReport {
         let gen = CorpusGenerator::new(CorpusConfig {
             size,
             seed: 42,
@@ -1231,16 +1086,24 @@ mod tests {
         run(gen, SurveyOptions::default())
     }
 
+    /// Options at `threads` workers.
+    fn threads(threads: usize) -> SurveyOptions {
+        SurveyOptions {
+            lint: RunOptions { threads: Some(threads), ..RunOptions::default() },
+            ..SurveyOptions::default()
+        }
+    }
+
     #[test]
     fn precerts_are_filtered() {
-        let r = survey(2_000);
+        let r = survey_generated(2_000);
         assert!(r.precerts_filtered > 300);
         assert_eq!(r.total + r.precerts_filtered, r.entries);
     }
 
     #[test]
     fn headline_rates_in_paper_bands() {
-        let r = survey(20_000);
+        let r = survey_generated(20_000);
         let nc_rate = r.noncompliant as f64 / r.total as f64;
         assert!((0.003..0.02).contains(&nc_rate), "{nc_rate}");
         // Trusted share of all Unicerts: paper reports 90.1% historically
@@ -1257,7 +1120,7 @@ mod tests {
 
     #[test]
     fn invalid_encoding_dominates_types() {
-        let r = survey(30_000);
+        let r = survey_generated(30_000);
         let enc = r.by_type.get(&NoncomplianceType::InvalidEncoding).map(|t| t.certs).unwrap_or(0);
         let chr = r.by_type.get(&NoncomplianceType::InvalidCharacter).map(|t| t.certs).unwrap_or(0);
         let fmt = r.by_type.get(&NoncomplianceType::IllegalFormat).map(|t| t.certs).unwrap_or(0);
@@ -1267,7 +1130,7 @@ mod tests {
 
     #[test]
     fn issuer_table_shape() {
-        let r = survey(30_000);
+        let r = survey_generated(30_000);
         // Let's Encrypt dominates volume with a tiny NC rate.
         let le = &r.by_issuer["Let's Encrypt"];
         assert!(le.total > r.total / 2);
@@ -1282,7 +1145,7 @@ mod tests {
 
     #[test]
     fn trend_is_upward() {
-        let r = survey(20_000);
+        let r = survey_generated(20_000);
         let y2016 = r.by_year.get(&2016).map(|y| y.issued).unwrap_or(0);
         let y2024 = r.by_year.get(&2024).map(|y| y.issued).unwrap_or(0);
         assert!(y2024 > y2016 * 3, "{y2016} vs {y2024}");
@@ -1290,7 +1153,7 @@ mod tests {
 
     #[test]
     fn validity_cdf_shapes() {
-        let r = survey(20_000);
+        let r = survey_generated(20_000);
         let frac = |v: &[i64], p: &dyn Fn(i64) -> bool| {
             if v.is_empty() {
                 return 0.0;
@@ -1303,7 +1166,7 @@ mod tests {
 
     #[test]
     fn field_matrix_collects_scripts() {
-        let r = survey(5_000);
+        let r = survey_generated(5_000);
         // Some issuer must show Unicode in O.
         assert!(r.field_matrix.keys().any(|(_, f)| *f == "O"));
         assert!(r.field_matrix.keys().any(|(_, f)| *f == "SAN"));
@@ -1376,10 +1239,6 @@ mod tests {
         assert!(affected.len() < entries.len(), "predicate must spare certs");
 
         let sabotaged = sabotaged_registry();
-        let opts = |threads| SurveyOptions {
-            lint: RunOptions { threads: Some(threads), ..RunOptions::default() },
-            ..SurveyOptions::default()
-        };
 
         // Expected report: the unaffected certs surveyed normally (the
         // extra lint never fires on them, so the default registry gives
@@ -1390,8 +1249,7 @@ mod tests {
             .filter(|e| !panics_on(&e.cert))
             .cloned()
             .collect();
-        let mut expected =
-            run_with(unicert_corpus::lint_registry(), spared.into_iter(), opts(1));
+        let mut expected = survey(unicert_corpus::lint_registry(), &spared, threads(1), 0);
         expected.entries = entries.len();
         expected.total = entries.len();
         expected.quarantine = affected
@@ -1407,7 +1265,7 @@ mod tests {
 
         let reports: Vec<_> = crate::pool::quiet_panics(|| {
             [1, 2, 4, 8]
-                .map(|threads| run_parallel_slice_with(&sabotaged, &entries, opts(threads)))
+                .map(|n| survey(&sabotaged, &entries, threads(n), 0))
                 .into_iter()
                 .collect()
         });
@@ -1454,9 +1312,8 @@ mod tests {
         ders.insert(0, Vec::new()); // empty
         ders.insert(50, ders[10][..40].to_vec()); // truncated cert
         ders.insert(100, vec![0xde, 0xad, 0xbe, 0xef]); // garbage
-        let budget = ParseBudget::default();
 
-        let serial = run_bytes(&ders, SurveyOptions::default(), &budget);
+        let serial = survey(threads(1).registry(), &ders, threads(1), 0);
         assert_eq!(serial.entries, ders.len());
         assert_eq!(serial.parse_outcomes["ok"], entries.len());
         let rejected: usize = serial
@@ -1477,7 +1334,7 @@ mod tests {
                 },
                 ..SurveyOptions::default()
             };
-            let parallel = run_parallel_bytes(&ders, opts, &budget);
+            let parallel = survey(opts.registry(), &ders, opts, 0);
             assert_eq!(parallel, serial, "threads={threads}");
         }
     }
@@ -1500,8 +1357,7 @@ mod tests {
             },
             ..SurveyOptions::default()
         };
-        let report =
-            crate::pool::quiet_panics(|| run_parallel_slice_with(&sabotaged, &entries, opts));
+        let report = crate::pool::quiet_panics(|| survey(&sabotaged, &entries, opts, 0));
         assert!(!report.quarantine.is_empty());
         for q in &report.quarantine {
             assert!(panics_on(&entries[q.index as usize].cert), "index {}", q.index);
@@ -1517,5 +1373,79 @@ mod tests {
         for pair in report.quarantine.windows(2) {
             assert!(pair[0].index < pair[1].index);
         }
+    }
+
+    /// The kernel's one policy branch, pinned for every input form: an
+    /// input with metadata quarantines DER that does not parse and counts
+    /// no parse outcome; bare bytes count the outcome and quarantine
+    /// nothing. A corpus entry is linted from its parsed tree, so it never
+    /// reaches the parse branch.
+    #[test]
+    fn kernel_policy_follows_metadata_alone() {
+        let corpus: Vec<CorpusEntry> = CorpusGenerator::new(CorpusConfig {
+            size: 20,
+            seed: 3,
+            precert_fraction: 0.5,
+            latent_defects: true,
+        })
+        .collect();
+        // The generator emits a precertificate twin right after its leaf.
+        let at = corpus.windows(2).position(|w| w[1].meta.is_precert).expect("a twin");
+        let (valid, precert) = (&corpus[at], &corpus[at + 1]);
+        let garbage = [0xde, 0xad, 0xbe, 0xef];
+        let ders: [&[u8]; 4] = [&valid.cert.raw, &precert.cert.raw, &valid.cert.raw[..40], &garbage];
+        let entries = vec![valid.clone(), precert.clone()];
+        let metas = [&valid.meta, &precert.meta, &valid.meta, &valid.meta];
+        let records: Vec<RawEntry<'_>> = ders
+            .iter()
+            .zip(metas)
+            .map(|(&der, meta)| RawEntry { der, meta: meta.clone() })
+            .collect();
+        let bytes: Vec<Vec<u8>> = ders.iter().map(|der| der.to_vec()).collect();
+        let garbage_class = CertView::parse_der_budgeted(&garbage, &ParseBudget::default().start())
+            .map(|_| ())
+            .expect_err("garbage does not parse")
+            .class();
+
+        let opts = threads(1);
+        let as_entries = survey(opts.registry(), &entries, opts, 0);
+        let as_records = survey(opts.registry(), &records, opts, 0);
+        let as_bytes = survey(opts.registry(), &bytes, opts, 0);
+
+        // The precertificate is filtered in every form, and every input
+        // counts as an inspected entry.
+        assert_eq!((as_entries.entries, as_entries.precerts_filtered, as_entries.total), (2, 1, 1));
+        for report in [&as_records, &as_bytes] {
+            assert_eq!((report.entries, report.precerts_filtered, report.total), (4, 1, 1));
+        }
+
+        // With metadata: no outcome counts, one parse quarantine per
+        // rejected input. Its flight dump is the parse breadcrumb alone.
+        assert!(as_entries.parse_outcomes.is_empty() && as_entries.quarantine.is_empty());
+        assert!(as_records.parse_outcomes.is_empty());
+        let parse_quarantine = |index: u64, class: &str| QuarantineEntry {
+            index,
+            cert_id: format!("#{index}"),
+            stage: "parse",
+            detail: format!("record does not parse ({class})"),
+            flight: vec![
+                format!("unit {index} events 1"),
+                format!("0000 stage parse={}", ders[index as usize].len()),
+            ],
+        };
+        assert_eq!(
+            as_records.quarantine,
+            [parse_quarantine(2, "truncated"), parse_quarantine(3, garbage_class)]
+        );
+        // An entry and a record with the same certificate and metadata
+        // survey identically, aggregates of the valid certificate included.
+        assert_eq!(as_entries, survey(opts.registry(), &records[..2], opts, 0));
+        assert_eq!(as_entries.by_issuer[&valid.meta.issuer_org].total, 1);
+
+        // Without metadata: every input counted once, nothing quarantined.
+        assert!(as_bytes.quarantine.is_empty());
+        let mut expected = BTreeMap::from([("ok", 2), ("truncated", 1)]);
+        *expected.entry(garbage_class).or_default() += 1;
+        assert_eq!(as_bytes.parse_outcomes, expected);
     }
 }

@@ -20,8 +20,22 @@ fn corpus(size: usize, seed: u64) -> Vec<CorpusEntry> {
     .collect()
 }
 
+/// Options at `threads` workers in chunks of `shard_size` (0: the
+/// default).
+fn opts(threads: usize, shard_size: usize) -> SurveyOptions {
+    SurveyOptions {
+        lint: unicert_lint::RunOptions {
+            threads: Some(threads),
+            shard_size,
+            ..unicert_lint::RunOptions::default()
+        },
+        ..SurveyOptions::default()
+    }
+}
+
+/// The serial reference: one thread, so the whole input is one chunk.
 fn run_over(entries: &[CorpusEntry]) -> SurveyReport {
-    survey::run(entries.iter().cloned(), SurveyOptions::default())
+    survey::run(entries.iter().cloned(), opts(1, 0))
 }
 
 proptest! {
@@ -83,17 +97,9 @@ proptest! {
                 der[pos] = byte;
             }
         }
-        let budget = unicert_asn1::ParseBudget::default();
-        let serial = survey::run_bytes(&ders, SurveyOptions::default(), &budget);
-        let opts = SurveyOptions {
-            lint: unicert_lint::RunOptions {
-                threads: Some(threads),
-                shard_size: 3,
-                ..unicert_lint::RunOptions::default()
-            },
-            ..SurveyOptions::default()
-        };
-        let parallel = survey::run_parallel_bytes(&ders, opts, &budget);
+        let (one, many) = (opts(1, 0), opts(threads, 3));
+        let serial = survey::survey(one.registry(), &ders, one, 0);
+        let parallel = survey::survey(many.registry(), &ders, many, 0);
         prop_assert_eq!(parallel, serial);
     }
 
@@ -111,18 +117,10 @@ proptest! {
                 ders.push(mutator.mutate(&entry.cert.raw, class));
             }
         }
-        let budget = unicert_asn1::ParseBudget::default();
-        let serial = survey::run_bytes(&ders, SurveyOptions::default(), &budget);
+        let (one, many) = (opts(1, 0), opts(4, 5));
+        let serial = survey::survey(one.registry(), &ders, one, 0);
         prop_assert_eq!(serial.entries, ders.len());
-        let opts = SurveyOptions {
-            lint: unicert_lint::RunOptions {
-                threads: Some(4),
-                shard_size: 5,
-                ..unicert_lint::RunOptions::default()
-            },
-            ..SurveyOptions::default()
-        };
-        let parallel = survey::run_parallel_bytes(&ders, opts, &budget);
+        let parallel = survey::survey(many.registry(), &ders, many, 0);
         prop_assert_eq!(parallel, serial);
     }
 }

@@ -72,7 +72,7 @@ fn policies_with_text(kind: StringKind, text: &str) -> unicert_x509::Extension {
 }
 
 /// An SmtpUTF8Mailbox OtherName with the mailbox under an arbitrary string
-/// kind ([0] EXPLICIT wrapping).
+/// kind (`[0]` EXPLICIT wrapping).
 fn smtp_mailbox(kind: StringKind, text: &str) -> GeneralName {
     let mut w = Writer::new();
     w.write_constructed(Tag::context_constructed(0), |w| {

@@ -61,9 +61,10 @@ pub struct CertMeta {
 impl CertMeta {
     /// Best-effort metadata inferred from a parsed certificate alone.
     ///
-    /// The survey's hostile-input path (`run_bytes` in `unicert-core`)
-    /// feeds raw DER with no generator ground truth attached; this
-    /// reconstructs the fields the aggregation kernel reads from what the
+    /// Bare DER inputs to the survey (`unicert::survey`) carry no
+    /// generator ground truth; the survey infers their metadata with
+    /// [`CertMeta::inferred_view`], this method's borrowed twin. Both
+    /// reconstruct the fields the aggregation kernel reads from what the
     /// certificate itself says. Trust defaults to `Untrusted` (nothing
     /// vouches for a cert that arrived as bare bytes) and the
     /// injected/latent channels — which only the generator can know — stay

@@ -498,12 +498,12 @@ impl Instruments {
 /// Shard-local accumulator for the `lint.runs` / `lint.findings` /
 /// `lint.certs` counters (DESIGN.md §8).
 ///
-/// [`Registry::run_tallied`] adds into plain locals here instead of the
-/// global atomics — ~97 relaxed RMWs per certificate collapse into one
+/// [`Registry::run_tallied_ctx`] adds into plain locals here instead of
+/// the global atomics — ~97 relaxed RMWs per certificate collapse into one
 /// [`Registry::flush_tally`] per shard, which is what keeps the
 /// metrics-on survey inside the §8 overhead budget. Totals are exact as
 /// long as the owner flushes before its snapshot is taken (the survey
-/// pipeline flushes at the end of every shard and of the serial loop).
+/// flushes at the end of every shard).
 pub struct RunTally {
     /// Parallel to `Registry::lints`.
     counts: Vec<u64>,
@@ -514,7 +514,8 @@ pub struct RunTally {
 }
 
 impl RunTally {
-    /// Will the next [`Registry::run_tallied`] certificate be latency-timed?
+    /// Will the next [`Registry::run_tallied_ctx`] certificate be
+    /// latency-timed?
     ///
     /// Exposed so callers can gate their own per-certificate timing (the
     /// survey's stage histograms) on the same 1-in-`metrics_sample()`
@@ -522,6 +523,12 @@ impl RunTally {
     pub fn will_time_next(&self) -> bool {
         let sample = unicert_telemetry::metrics_sample();
         sample <= 1 || self.certs % sample == 0
+    }
+
+    /// A zero-length tally for the metrics-off lint loop, which never
+    /// reads or writes it. Does not allocate.
+    fn unused() -> RunTally {
+        RunTally { counts: Vec::new(), errors: 0, warnings: 0, certs: 0 }
     }
 }
 
@@ -617,13 +624,13 @@ impl Registry {
 
     /// Run every applicable lint against a certificate.
     ///
-    /// With metrics enabled (`unicert_telemetry::metrics_enabled`) this
-    /// dispatches to the instrumented twin, which records exactly one
-    /// `lint.runs` observation per enabled lint per certificate plus
-    /// per-severity finding counters, and — on a sampled subset of
-    /// certificates (`UNICERT_METRICS_SAMPLE`, default 1 in 16) — a
-    /// per-lint latency histogram. The findings are identical either way:
-    /// telemetry never feeds back into the report.
+    /// With metrics enabled (`unicert_telemetry::metrics_enabled`) the run
+    /// records exactly one `lint.runs` observation per enabled lint per
+    /// certificate plus per-severity finding counters, and — on a sampled
+    /// subset of certificates (`UNICERT_METRICS_SAMPLE`, default 1 in 16,
+    /// counted on the global `lint.certs` sequence) — a per-lint latency
+    /// histogram. The findings are identical either way: telemetry never
+    /// feeds back into the report.
     pub fn run(&self, cert: &Certificate, opts: RunOptions) -> CertReport {
         if opts.evidence {
             return self.run_ctx(&LintContext::with_evidence(cert), opts);
@@ -637,40 +644,16 @@ impl Registry {
     /// (the survey's classify and field-matrix passes) so every stage
     /// shares one decode cache.
     pub fn run_ctx(&self, ctx: &LintContext<'_>, opts: RunOptions) -> CertReport {
-        if unicert_telemetry::metrics_enabled() {
-            return self.run_instrumented(ctx, opts);
+        if !unicert_telemetry::metrics_enabled() {
+            return self.check_all::<false, false>(ctx, opts, &mut RunTally::unused(), false);
         }
-        let mut report = CertReport::default();
-        let issued = ctx.validity().not_before;
-        let evidence_on = ctx.evidence_enabled();
-        let flight = unicert_telemetry::flight::flight_enabled();
-        for lint in &self.lints {
-            if opts.enforce_effective_dates && issued < lint.effective_date() {
-                continue;
-            }
-            if flight {
-                unicert_telemetry::flight::set_context(lint.name);
-            }
-            if evidence_on {
-                ctx.begin_check();
-            }
-            if (lint.check)(ctx) == LintStatus::Violation {
-                if flight {
-                    unicert_telemetry::flight::record("violation", lint.name, 0);
-                }
-                report.findings.push(Finding {
-                    lint: lint.name,
-                    severity: lint.severity,
-                    nc_type: lint.nc_type,
-                    new_lint: lint.new_lint,
-                    evidence: if evidence_on {
-                        ctx.drain_evidence(lint.citation)
-                    } else {
-                        Vec::new()
-                    },
-                });
-            }
-        }
+        // A one-off run takes its sampling decision from the global
+        // certificate sequence and flushes its counts straight away.
+        let sequence = self.instruments().certs.inc_fetch();
+        let sample = unicert_telemetry::metrics_sample();
+        let mut tally = self.tally();
+        let report = self.check_counted(ctx, opts, &mut tally, sample <= 1 || sequence % sample == 0);
+        self.flush_tally(&mut tally);
         report
     }
 
@@ -678,96 +661,19 @@ impl Registry {
         self.instruments.get_or_init(|| Instruments::resolve(&self.lints))
     }
 
-    /// The metrics-recording twin of the `run` loop.
-    ///
-    /// Latency uses consecutive timestamps — one clock read per executed
-    /// lint, the delta between neighbours attributed to the lint that just
-    /// ran (gating checks are folded in; they are a comparison each). Full
-    /// per-lint timing runs on one certificate in `metrics_sample()`; the
-    /// run/severity counters are exhaustive on every certificate.
-    fn run_instrumented(&self, ctx: &LintContext<'_>, opts: RunOptions) -> CertReport {
-        use std::time::Instant;
-        let instruments = self.instruments();
-        let sequence = instruments.certs.inc_fetch();
-        let sample = unicert_telemetry::metrics_sample();
-        let timed = sample <= 1 || sequence % sample == 0;
-
-        let mut report = CertReport::default();
-        let issued = ctx.validity().not_before;
-        let evidence_on = ctx.evidence_enabled();
-        let flight = unicert_telemetry::flight::flight_enabled();
-        let mut previous = timed.then(Instant::now);
-        for (lint, instrument) in self.lints.iter().zip(&instruments.per_lint) {
-            if opts.enforce_effective_dates && issued < lint.effective_date() {
-                continue;
-            }
-            let _span = unicert_telemetry::span!(verbose: "lint", "{}", lint.name);
-            if flight {
-                unicert_telemetry::flight::set_context(lint.name);
-            }
-            if evidence_on {
-                ctx.begin_check();
-            }
-            let status = (lint.check)(ctx);
-            instrument.runs.inc();
-            if let Some(before) = previous {
-                let now = Instant::now(); // analysis:allow(clock) per-lint latency feeds telemetry histograms only, never report bytes
-                instrument
-                    .latency
-                    .record(u64::try_from(now.duration_since(before).as_nanos()).unwrap_or(u64::MAX));
-                previous = Some(now);
-            }
-            if status == LintStatus::Violation {
-                match lint.severity {
-                    Severity::Error => instruments.errors.inc(),
-                    Severity::Warning => instruments.warnings.inc(),
-                }
-                if flight {
-                    unicert_telemetry::flight::record("violation", lint.name, 0);
-                }
-                report.findings.push(Finding {
-                    lint: lint.name,
-                    severity: lint.severity,
-                    nc_type: lint.nc_type,
-                    new_lint: lint.new_lint,
-                    evidence: if evidence_on {
-                        ctx.drain_evidence(lint.citation)
-                    } else {
-                        Vec::new()
-                    },
-                });
-            }
-        }
-        report
-    }
-
     /// Fresh zeroed [`RunTally`] sized to this registry.
     pub fn tally(&self) -> RunTally {
         RunTally { counts: vec![0; self.lints.len()], errors: 0, warnings: 0, certs: 0 }
     }
 
-    /// The batching twin of [`Registry::run`] for tight survey loops.
+    /// The batching form of [`Registry::run_ctx`] for tight survey loops.
     ///
     /// Identical findings and identical metric semantics, but the run /
     /// finding / cert counters go into `tally`'s plain locals instead of
     /// the global atomics; the caller owns flushing them with
     /// [`Registry::flush_tally`]. Latency sampling uses the tally's own
     /// certificate sequence, so each shard times one certificate in
-    /// `metrics_sample()` exactly as the unbatched path does.
-    pub fn run_tallied(
-        &self,
-        cert: &Certificate,
-        opts: RunOptions,
-        tally: &mut RunTally,
-    ) -> CertReport {
-        if opts.evidence {
-            return self.run_tallied_ctx(&LintContext::with_evidence(cert), opts, tally);
-        }
-        self.run_tallied_ctx(&LintContext::new(cert), opts, tally)
-    }
-
-    /// [`Registry::run_tallied`] against a caller-built [`LintContext`] —
-    /// the survey hot loop's entry point.
+    /// `metrics_sample()`.
     pub fn run_tallied_ctx(
         &self,
         ctx: &LintContext<'_>,
@@ -776,83 +682,63 @@ impl Registry {
     ) -> CertReport {
         let timed = tally.will_time_next();
         tally.certs += 1;
-        // Hoisted out of the per-lint loop: one trace-level load per cert
-        // instead of 95.
-        let verbose =
-            unicert_telemetry::trace::trace_level() >= unicert_telemetry::TraceLevel::Verbose;
-        if timed || verbose {
-            return self.run_tallied_timed(ctx, opts, tally, timed, verbose);
-        }
-
-        // Fast path for the 15-in-16 untimed certificates: no clocks, no
-        // span guards — just local count bumps next to the check calls.
-        let mut report = CertReport::default();
-        let issued = ctx.validity().not_before;
-        let evidence_on = ctx.evidence_enabled();
-        let flight = unicert_telemetry::flight::flight_enabled();
-        for (lint, count) in self.lints.iter().zip(&mut tally.counts) {
-            if opts.enforce_effective_dates && issued < lint.effective_date() {
-                continue;
-            }
-            if flight {
-                unicert_telemetry::flight::set_context(lint.name);
-            }
-            if evidence_on {
-                ctx.begin_check();
-            }
-            let status = (lint.check)(ctx);
-            *count += 1;
-            if status == LintStatus::Violation {
-                match lint.severity {
-                    Severity::Error => tally.errors += 1,
-                    Severity::Warning => tally.warnings += 1,
-                }
-                if flight {
-                    unicert_telemetry::flight::record("violation", lint.name, 0);
-                }
-                report.findings.push(Finding {
-                    lint: lint.name,
-                    severity: lint.severity,
-                    nc_type: lint.nc_type,
-                    new_lint: lint.new_lint,
-                    evidence: if evidence_on {
-                        ctx.drain_evidence(lint.citation)
-                    } else {
-                        Vec::new()
-                    },
-                });
-            }
-        }
-        report
+        self.check_counted(ctx, opts, tally, timed)
     }
 
-    /// The sampled / verbose-traced arm of [`Registry::run_tallied`].
-    fn run_tallied_timed(
+    /// The metrics-on lint loop: traced when this certificate is timed or
+    /// the trace level is verbose, counted only otherwise.
+    fn check_counted(
         &self,
         ctx: &LintContext<'_>,
         opts: RunOptions,
         tally: &mut RunTally,
         timed: bool,
-        verbose: bool,
+    ) -> CertReport {
+        // One trace-level load per certificate, not per lint.
+        if timed || unicert_telemetry::trace::trace_level() >= unicert_telemetry::TraceLevel::Verbose
+        {
+            self.check_all::<true, true>(ctx, opts, tally, timed)
+        } else {
+            self.check_all::<true, false>(ctx, opts, tally, false)
+        }
+    }
+
+    /// The one lint loop.
+    ///
+    /// Two compile-time switches pick what it records, so no instantiation
+    /// carries a per-lint branch it never takes. With `METRICS` off (every
+    /// metrics-off run) it never touches `tally`. With `METRICS` on it
+    /// counts runs and findings into `tally`. `TRACED` (only with
+    /// `METRICS`) adds a per-lint span at verbose trace level and — when
+    /// `timed` — per-lint latency with consecutive timestamps: one clock
+    /// read per executed lint, the delta between neighbours attributed to
+    /// the lint that just ran (gating checks are folded in; they are a
+    /// comparison each). The counted-only instantiation serves the
+    /// certificates a metrics-on run does not time.
+    fn check_all<const METRICS: bool, const TRACED: bool>(
+        &self,
+        ctx: &LintContext<'_>,
+        opts: RunOptions,
+        tally: &mut RunTally,
+        timed: bool,
     ) -> CertReport {
         use std::time::Instant;
-        let instruments = self.instruments();
         let mut report = CertReport::default();
         let issued = ctx.validity().not_before;
         let evidence_on = ctx.evidence_enabled();
         let flight = unicert_telemetry::flight::flight_enabled();
-        let mut previous = timed.then(Instant::now);
-        for ((lint, instrument), count) in
-            self.lints.iter().zip(&instruments.per_lint).zip(&mut tally.counts)
-        {
+        // Hoisted out of the per-lint loop: one trace-level load per cert.
+        let verbose = TRACED
+            && unicert_telemetry::trace::trace_level() >= unicert_telemetry::TraceLevel::Verbose;
+        let latency = (TRACED && timed).then(|| self.instruments().per_lint.as_slice());
+        let mut previous = latency.is_some().then(Instant::now);
+        for (i, lint) in self.lints.iter().enumerate() {
             if opts.enforce_effective_dates && issued < lint.effective_date() {
                 continue;
             }
-            let _span = if verbose {
-                unicert_telemetry::span!(verbose: "lint", "{}", lint.name)
-            } else {
-                unicert_telemetry::SpanGuard::inert()
-            };
+            // An `Option`, not an inert guard: the untraced
+            // instantiations then have no guard to drop per lint.
+            let _span = verbose.then(|| unicert_telemetry::span!(verbose: "lint", "{}", lint.name));
             if flight {
                 unicert_telemetry::flight::set_context(lint.name);
             }
@@ -860,18 +746,28 @@ impl Registry {
                 ctx.begin_check();
             }
             let status = (lint.check)(ctx);
-            *count += 1;
-            if let Some(before) = previous {
-                let now = Instant::now(); // analysis:allow(clock) per-lint latency feeds telemetry histograms only, never report bytes
-                instrument
-                    .latency
-                    .record(u64::try_from(now.duration_since(before).as_nanos()).unwrap_or(u64::MAX));
-                previous = Some(now);
+            if METRICS {
+                if let Some(count) = tally.counts.get_mut(i) {
+                    *count += 1;
+                }
+            }
+            if TRACED {
+                if let (Some(before), Some(instrument)) =
+                    (previous, latency.and_then(|per_lint| per_lint.get(i)))
+                {
+                    let now = Instant::now(); // analysis:allow(clock) per-lint latency feeds telemetry histograms only, never report bytes
+                    instrument
+                        .latency
+                        .record(u64::try_from(now.duration_since(before).as_nanos()).unwrap_or(u64::MAX));
+                    previous = Some(now);
+                }
             }
             if status == LintStatus::Violation {
-                match lint.severity {
-                    Severity::Error => tally.errors += 1,
-                    Severity::Warning => tally.warnings += 1,
+                if METRICS {
+                    match lint.severity {
+                        Severity::Error => tally.errors += 1,
+                        Severity::Warning => tally.warnings += 1,
+                    }
                 }
                 if flight {
                     unicert_telemetry::flight::record("violation", lint.name, 0);

@@ -173,7 +173,7 @@ pub fn decode_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unicert::survey::{run_parallel_slice_with, SurveyOptions};
+    use unicert::survey::{survey, SurveyOptions};
     use unicert_corpus::{lint_registry, CorpusConfig, CorpusGenerator};
 
     fn fixture() -> (ShardInfo, String, SurveyReport) {
@@ -184,7 +184,7 @@ mod tests {
             latent_defects: true,
         })
         .collect();
-        let report = run_parallel_slice_with(lint_registry(), &entries, SurveyOptions::default());
+        let report = survey(lint_registry(), &entries, SurveyOptions::default(), 0);
         let shard = ShardInfo {
             index: 2,
             file: "shard-00002.seg".to_string(),

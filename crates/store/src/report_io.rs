@@ -378,7 +378,7 @@ pub fn decode_report(body: &str, registry: &Registry) -> Result<SurveyReport, St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unicert::survey::{run_parallel_slice_with, SurveyOptions};
+    use unicert::survey::{survey, SurveyOptions};
     use unicert_corpus::{lint_registry, CorpusConfig, CorpusGenerator};
 
     fn sample_report() -> SurveyReport {
@@ -389,7 +389,7 @@ mod tests {
             latent_defects: true,
         })
         .collect();
-        run_parallel_slice_with(lint_registry(), &entries, SurveyOptions::default())
+        survey(lint_registry(), &entries, SurveyOptions::default(), 0)
     }
 
     #[test]

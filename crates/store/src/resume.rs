@@ -8,10 +8,10 @@
 //!    certificates are never touched;
 //! 2. otherwise reads the segment and surveys its records straight from
 //!    the read buffer —
-//!    [`run_parallel_records_from`](unicert::survey::run_parallel_records_from)
-//!    lints each certificate through a zero-copy `CertView` of the
-//!    borrowed DER, no per-certificate copy — at the shard's global base
-//!    index, and commits a fresh checkpoint via [`crate::atomic_write`]
+//!    [`survey`](unicert::survey::survey) lints each certificate through a
+//!    zero-copy `CertView` of the borrowed DER, no per-certificate copy —
+//!    at the shard's global base index, and commits a fresh checkpoint
+//!    via [`crate::atomic_write`]
 //!    *before* moving on — so after a crash, every finished shard is
 //!    either fully committed or invisible;
 //! 3. a shard whose segment fails verification is *quarantined at shard
@@ -126,8 +126,7 @@ pub fn survey_incremental(
     opts: ResumeOptions,
 ) -> Result<ResumeReport, StoreError> {
     std::fs::create_dir_all(ckpt_dir)?;
-    let registry = unicert_lint::profiles::registry(opts.survey.lint.effective_profile())
-        .unwrap_or_else(unicert_corpus::lint_registry);
+    let registry = opts.survey.registry();
     let opts_key = options_key(registry, &opts);
     let crash_after = crash_after_shard();
     let metrics = unicert_telemetry::metrics_enabled();
@@ -354,7 +353,7 @@ mod tests {
                     continue;
                 }
                 let lo = shard.start as usize;
-                expected.merge(unicert::survey::run_parallel_slice_from(
+                expected.merge(unicert::survey::survey(
                     registry,
                     &corpus[lo..lo + shard.count],
                     threads(1).survey,

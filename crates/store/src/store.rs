@@ -7,7 +7,7 @@ use crate::segment::{
 };
 use crate::{atomic_write, fnv64, Corruption, StoreError};
 use std::path::{Path, PathBuf};
-use unicert::survey::{run_parallel_records_from, SurveyOptions, SurveyReport};
+use unicert::survey::{survey, SurveyOptions, SurveyReport};
 use unicert_corpus::{CorpusEntry, RawEntry};
 
 /// Per-shard result of [`CorpusStore::verify`].
@@ -197,9 +197,9 @@ impl CorpusStore {
         result
     }
 
-    /// Survey one shard's records with [`run_parallel_records_from`] at
-    /// the shard's global base index, parsing each certificate once: the
-    /// incremental survey's shard read.
+    /// Survey one shard's records with [`survey`] at the shard's global
+    /// base index under the default parse budget, parsing each certificate
+    /// once: the incremental survey's shard read.
     ///
     /// The segment is first checked for everything but the per-record
     /// parse proof — framing, header, size, both fingerprints, record
@@ -222,7 +222,7 @@ impl CorpusStore {
         opts: SurveyOptions,
     ) -> Result<SurveyReport, Corruption> {
         let survey = |records: &[RawEntry<'_>]| {
-            run_parallel_records_from(registry, records, opts, shard.start)
+            survey(registry, records, opts, shard.start)
         };
         let result = self.read_segment(shard).and_then(|data| {
             let framed = decode_segment_frames(

@@ -7,7 +7,7 @@
 //! contend on a lock:
 //!
 //! * **Registration** (`counter` / `gauge` / `histogram`) interns a
-//!   `(name, label)` key in one of [`SHARD_COUNT`] shards, each behind its
+//!   `(name, label)` key in one of `SHARD_COUNT` (16) shards, each behind its
 //!   own `RwLock`. Callers do this once and cache the returned `Arc`
 //!   handle (the lint registry resolves all 95 handles on first use, the
 //!   pool one set per worker).
@@ -17,7 +17,7 @@
 //!
 //! # Histogram shape
 //!
-//! Buckets are log-scale with [`SUB_BUCKETS`] linear sub-buckets per
+//! Buckets are log-scale with `SUB_BUCKETS` (4) linear sub-buckets per
 //! power of two (HdrHistogram-style), so one fixed 252-slot array spans
 //! 1 ns to `u64::MAX` ns (≈ 584 years) with ≤ 25% relative bucket width —
 //! tight enough for p50/p90/p99 on lint latencies without per-metric

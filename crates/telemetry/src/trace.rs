@@ -28,8 +28,8 @@ pub enum TraceLevel {
 }
 
 impl TraceLevel {
-    /// Parse an `UNICERT_TRACE` value. Unrecognized values mean [`Off`]
-    /// (`TraceLevel::Off`) so a typo can never silently enable tracing.
+    /// Parse an `UNICERT_TRACE` value. Unrecognized values mean
+    /// [`TraceLevel::Off`] so a typo can never silently enable tracing.
     pub fn parse(value: &str) -> TraceLevel {
         match value.trim().to_ascii_lowercase().as_str() {
             "1" | "spans" | "on" | "true" => TraceLevel::Spans,

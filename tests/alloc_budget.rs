@@ -6,7 +6,7 @@
 //! cost every workload pays, so its heap allocations per certificate are
 //! a deterministic counter that can be gated exactly, where wall time on a
 //! shared host cannot. This binary surveys the 20k/seed-42 corpus serially
-//! through `run_parallel_records_from` after one warm-up pass, counts
+//! as store records through `survey::survey` after one warm-up pass, counts
 //! every `alloc`, `alloc_zeroed` and `realloc` the surveying thread makes,
 //! and fails above [`MAX_ALLOCS_PER_CERT`].
 //!
@@ -98,10 +98,10 @@ fn serial_records_survey_stays_within_the_allocation_budget() {
 
     // Warm-up: lazily built statics (registry tables, interned labels)
     // allocate once per process, not per certificate.
-    drop(survey::run_parallel_records_from(registry, &records, opts, 0));
+    drop(survey::survey(registry, &records, opts, 0));
 
     let before = allocs_so_far();
-    let report = survey::run_parallel_records_from(registry, &records, opts, 0);
+    let report = survey::survey(registry, &records, opts, 0);
     let allocs = allocs_so_far() - before;
     let per_cert = allocs as f64 / records.len() as f64;
     let certs = records.len();

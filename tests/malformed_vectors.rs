@@ -74,8 +74,11 @@ fn survey_bytes_path_classifies_the_golden_set() {
         *expected.entry(class.as_str()).or_default() += 1;
     }
 
-    let budget = ParseBudget::default();
-    let serial = survey::run_bytes(&ders, SurveyOptions::default(), &budget);
+    let serial_opts = SurveyOptions {
+        lint: RunOptions { threads: Some(1), ..RunOptions::default() },
+        ..SurveyOptions::default()
+    };
+    let serial = survey::survey(serial_opts.registry(), &ders, serial_opts, 0);
     assert_eq!(serial.entries, ders.len());
     assert!(serial.quarantine.is_empty(), "{:?}", serial.quarantine);
     let got: BTreeMap<&str, usize> =
@@ -87,7 +90,7 @@ fn survey_bytes_path_classifies_the_golden_set() {
             lint: RunOptions { threads: Some(threads), shard_size: 2, ..RunOptions::default() },
             ..SurveyOptions::default()
         };
-        let parallel = survey::run_parallel_bytes(&ders, opts, &budget);
+        let parallel = survey::survey(opts.registry(), &ders, opts, 0);
         assert_eq!(parallel, serial, "threads={threads}");
     }
 }

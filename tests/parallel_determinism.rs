@@ -6,7 +6,7 @@
 
 use unicert::corpus::{CorpusConfig, CorpusEntry, CorpusGenerator};
 use unicert::lint::RunOptions;
-use unicert::survey::{self, SurveyOptions, SurveyReport};
+use unicert::survey::{self, SurveyOptions};
 
 const CORPUS_SIZE: usize = 10_000;
 
@@ -23,10 +23,10 @@ fn opts(threads: usize) -> SurveyOptions {
 
 #[test]
 fn parallel_streaming_matches_serial() {
-    let serial = survey::run(CorpusGenerator::new(config()), SurveyOptions::default());
+    let serial = survey::run(CorpusGenerator::new(config()), opts(1));
     assert_eq!(serial.total, CORPUS_SIZE);
     for threads in [2, 4, 8] {
-        let parallel = survey::run_parallel(CorpusGenerator::new(config()), opts(threads));
+        let parallel = survey::run(CorpusGenerator::new(config()), opts(threads));
         assert_eq!(serial, parallel, "streaming survey diverged at {threads} threads");
     }
 }
@@ -34,9 +34,10 @@ fn parallel_streaming_matches_serial() {
 #[test]
 fn parallel_slice_matches_serial() {
     let corpus: Vec<CorpusEntry> = CorpusGenerator::new(config()).collect();
-    let serial = survey::run(corpus.iter().cloned(), SurveyOptions::default());
+    let serial = survey::run(corpus.iter().cloned(), opts(1));
     for threads in [2, 4, 8] {
-        let parallel = survey::run_parallel_slice(&corpus, opts(threads));
+        let options = opts(threads);
+        let parallel = survey::survey(options.registry(), &corpus, options, 0);
         assert_eq!(serial, parallel, "slice survey diverged at {threads} threads");
     }
 }
@@ -50,13 +51,14 @@ fn shard_size_does_not_change_the_report() {
         latent_defects: false,
     })
     .collect();
-    let baseline = survey::run_parallel_slice(&corpus, opts(4));
+    let four = opts(4);
+    let baseline = survey::survey(four.registry(), &corpus, four, 0);
     for shard_size in [1, 17, 256, 10_000] {
         let opts = SurveyOptions {
             lint: RunOptions { threads: Some(4), shard_size, ..RunOptions::default() },
             field_matrix: true,
         };
-        let report = survey::run_parallel_slice(&corpus, opts);
+        let report = survey::survey(opts.registry(), &corpus, opts, 0);
         assert_eq!(baseline, report, "shard_size={shard_size} diverged");
     }
 }
@@ -74,13 +76,14 @@ fn tracing_on_report_is_byte_identical() {
         latent_defects: true,
     })
     .collect();
-    let quiet = survey::run_parallel_slice(&corpus, opts(4));
+    let four = opts(4);
+    let quiet = survey::survey(four.registry(), &corpus, four, 0);
 
     let sink = MemorySink::new();
     trace::install_collector(sink.clone());
     trace::set_trace_level(TraceLevel::Spans);
     telemetry::set_metrics_enabled(true);
-    let traced = survey::run_parallel_slice(&corpus, opts(4));
+    let traced = survey::survey(four.registry(), &corpus, four, 0);
     telemetry::set_metrics_enabled(false);
     trace::set_trace_level(TraceLevel::Off);
     trace::clear_collector();
@@ -89,15 +92,14 @@ fn tracing_on_report_is_byte_identical() {
     assert_eq!(quiet, traced, "tracing/metrics changed the survey report");
 }
 
+/// At one thread `survey::survey` over a slice and the streaming `run` both
+/// survey the whole input inline as one chunk, and agree.
 #[test]
 fn single_thread_parallel_is_the_serial_path() {
-    let report: SurveyReport = survey::run_parallel(
-        CorpusGenerator::new(CorpusConfig { size: 500, seed: 2, ..Default::default() }),
-        opts(1),
-    );
-    let serial = survey::run(
-        CorpusGenerator::new(CorpusConfig { size: 500, seed: 2, ..Default::default() }),
-        SurveyOptions::default(),
-    );
+    let config = CorpusConfig { size: 500, seed: 2, ..Default::default() };
+    let corpus: Vec<CorpusEntry> = CorpusGenerator::new(config.clone()).collect();
+    let one = opts(1);
+    let report = survey::survey(one.registry(), &corpus, one, 0);
+    let serial = survey::run(CorpusGenerator::new(config), one);
     assert_eq!(report, serial);
 }

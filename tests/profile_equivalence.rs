@@ -56,14 +56,13 @@ fn explicit_webpki_selection_is_a_no_op() {
         ..CorpusConfig::default()
     })
     .collect();
-    let implicit = survey::run_parallel_slice(&entries, SurveyOptions::default());
-    let explicit = survey::run_parallel_slice(
-        &entries,
-        SurveyOptions {
-            lint: RunOptions { profile: Some("webpki"), ..RunOptions::default() },
-            ..SurveyOptions::default()
-        },
-    );
+    let implicit_opts = SurveyOptions::default();
+    let explicit_opts = SurveyOptions {
+        lint: RunOptions { profile: Some("webpki"), ..RunOptions::default() },
+        ..SurveyOptions::default()
+    };
+    let implicit = survey::survey(implicit_opts.registry(), &entries, implicit_opts, 0);
+    let explicit = survey::survey(explicit_opts.registry(), &entries, explicit_opts, 0);
     assert_eq!(implicit, explicit);
     assert_eq!(format!("{implicit:?}"), format!("{explicit:?}"));
 }
@@ -78,14 +77,13 @@ fn unknown_profile_falls_back_to_default() {
         ..CorpusConfig::default()
     })
     .collect();
-    let default = survey::run_parallel_slice(&entries, SurveyOptions::default());
-    let unknown = survey::run_parallel_slice(
-        &entries,
-        SurveyOptions {
-            lint: RunOptions { profile: Some("no-such-profile"), ..RunOptions::default() },
-            ..SurveyOptions::default()
-        },
-    );
+    let default_opts = SurveyOptions::default();
+    let unknown_opts = SurveyOptions {
+        lint: RunOptions { profile: Some("no-such-profile"), ..RunOptions::default() },
+        ..SurveyOptions::default()
+    };
+    let default = survey::survey(default_opts.registry(), &entries, default_opts, 0);
+    let unknown = survey::survey(unknown_opts.registry(), &entries, unknown_opts, 0);
     assert_eq!(default, unknown);
 }
 

@@ -40,7 +40,8 @@ fn options(threads: usize) -> ResumeOptions {
 
 /// The one-shot in-memory reference every incremental run must reproduce.
 fn one_shot(entries: &[CorpusEntry]) -> unicert::survey::SurveyReport {
-    survey::run_parallel_slice(entries, options(1).survey)
+    let opts = options(1).survey;
+    survey::survey(opts.registry(), entries, opts, 0)
 }
 
 #[test]

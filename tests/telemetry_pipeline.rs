@@ -114,6 +114,51 @@ fn latency_sampling_thins_histograms_not_counters() {
     );
 }
 
+/// One-off `Registry::run` calls, outside any survey, keep the run and
+/// finding counters exhaustive and sample latency on the global
+/// `lint.certs` sequence: one certificate in the interval is timed.
+#[test]
+fn one_off_runs_sample_latency_on_the_global_sequence() {
+    use unicert::lint::Severity;
+    let _guard = telemetry_lock();
+    let corpus = corpus(160, 15);
+    let registry = lint_registry();
+    let opts = RunOptions { enforce_effective_dates: false, ..RunOptions::default() };
+
+    let saved_sample = telemetry::metrics_sample();
+    telemetry::set_metrics_sample(16);
+    telemetry::set_metrics_enabled(true);
+    let before = telemetry::global().snapshot();
+    let reports: Vec<_> = corpus.iter().map(|entry| registry.run(&entry.cert, opts)).collect();
+    let after = telemetry::global().snapshot();
+    telemetry::set_metrics_enabled(false);
+    telemetry::set_metrics_sample(saved_sample);
+
+    let n = corpus.len() as u64;
+    assert_eq!(counter_delta(&before, &after, "lint.certs", ""), n);
+    for lint in registry.lints() {
+        let name = lint.name;
+        assert_eq!(
+            counter_delta(&before, &after, "lint.runs", name),
+            n,
+            "lint.runs{{{name}}} must advance once per one-off run"
+        );
+        let timed = histogram_count_delta(&before, &after, "lint.latency_ns", name);
+        assert!(
+            (n / 16..n).contains(&timed),
+            "lint.latency_ns{{{name}}} should record ≈ n/16 one-off runs, got {timed}"
+        );
+    }
+    let findings = |severity| {
+        reports.iter().flat_map(|r| &r.findings).filter(|f| f.severity == severity).count() as u64
+    };
+    assert_eq!(counter_delta(&before, &after, "lint.findings", "error"), findings(Severity::Error));
+    assert_eq!(
+        counter_delta(&before, &after, "lint.findings", "warning"),
+        findings(Severity::Warning)
+    );
+}
+
 /// `UNICERT_TRACE=0` (and any unrecognized value) must leave the level at
 /// Off, and a survey under level Off must emit zero events even with a
 /// collector installed.
@@ -128,7 +173,8 @@ fn trace_off_emits_zero_events() {
     let sink = MemorySink::new();
     trace::install_collector(sink.clone());
     let corpus = corpus(60, 13);
-    let _ = survey::run_parallel_slice(&corpus, ungated(4));
+    let opts = ungated(4);
+    let _ = survey::survey(opts.registry(), &corpus, opts, 0);
     trace::clear_collector();
     assert!(
         sink.is_empty(),
@@ -145,7 +191,8 @@ fn full_telemetry_is_byte_identical() {
     let corpus = corpus(400, 14);
     telemetry::set_metrics_enabled(false);
     trace::set_trace_level(TraceLevel::Off);
-    let baseline = survey::run_parallel_slice(&corpus, ungated(4));
+    let opts = ungated(4);
+    let baseline = survey::survey(opts.registry(), &corpus, opts, 0);
 
     let sink = MemorySink::new();
     trace::install_collector(sink.clone());
@@ -153,7 +200,7 @@ fn full_telemetry_is_byte_identical() {
     let saved_sample = telemetry::metrics_sample();
     telemetry::set_metrics_sample(1);
     telemetry::set_metrics_enabled(true);
-    let instrumented = survey::run_parallel_slice(&corpus, ungated(4));
+    let instrumented = survey::survey(opts.registry(), &corpus, opts, 0);
     telemetry::set_metrics_enabled(false);
     telemetry::set_metrics_sample(saved_sample);
     trace::set_trace_level(TraceLevel::Off);
