@@ -23,12 +23,11 @@ pub const AUDITED_CRATES: [&str; 10] =
 
 /// Files whose length arithmetic is additionally audited (`len_arith`).
 /// These are the DER reader hot paths every untrusted byte flows through —
-/// the budgeted reader, tag/length decoding, the lazy TLV cursor, and the
-/// zero-copy certificate view built on top of them.
-pub const LEN_ARITH_FILES: [&str; 4] = [
+/// the budgeted reader, tag/length decoding, and the zero-copy certificate
+/// view built on top of them.
+pub const LEN_ARITH_FILES: [&str; 3] = [
     "asn1/src/reader.rs",
     "asn1/src/tag.rs",
-    "asn1/src/cursor.rs",
     "x509/src/view.rs",
 ];
 

@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod bitstring;
-pub mod cursor;
 pub mod error;
 pub mod integer;
 pub mod oid;
@@ -37,7 +36,6 @@ pub mod time;
 pub mod writer;
 
 pub use bitstring::BitString;
-pub use cursor::Cursor;
 pub use error::{Error, Result};
 pub use oid::Oid;
 pub use reader::{BudgetState, ParseBudget, Reader, Span, Tlv};

@@ -114,21 +114,29 @@ impl BudgetState {
 
 /// A half-open byte range `[offset, offset + len)` into a parse input.
 ///
-/// Spans are the unit of evidence provenance: every structural element a
-/// [`Reader`] yields can be located back in the original DER buffer without
-/// copying any bytes. Offsets are absolute within the buffer handed to the
-/// *root* reader — nested readers created by [`Reader::read_nested`] carry
-/// their base offset forward, so a span taken ten levels deep still indexes
-/// the outermost input.
+/// Spans are the unit of evidence provenance. Every slice a [`Reader`]
+/// yields borrows the reader's input, however deeply nested, so an
+/// element's byte range is simply where its slice sits in the root input
+/// ([`Span::within`]): no offset is tracked while reading and no byte is
+/// copied or read again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Span {
-    /// Byte offset of the first byte, absolute within the root input.
+    /// Byte offset of the first byte within the input.
     pub offset: usize,
     /// Length of the range in bytes.
     pub len: usize,
 }
 
 impl Span {
+    /// Where `part` sits in `whole`, when `part` borrows bytes of `whole`;
+    /// `None` for any other slice, such as a copy of those bytes or a
+    /// slice reaching past the end of `whole`.
+    pub fn within(whole: &[u8], part: &[u8]) -> Option<Span> {
+        let offset = part.as_ptr().addr().checked_sub(whole.as_ptr().addr())?;
+        let end = offset.checked_add(part.len())?;
+        (end <= whole.len()).then_some(Span { offset, len: part.len() })
+    }
+
     /// One byte past the end of the range.
     pub fn end(&self) -> usize {
         self.offset.saturating_add(self.len)
@@ -190,25 +198,13 @@ pub struct Reader<'a> {
     input: &'a [u8],
     pos: usize,
     depth: usize,
-    base: usize,
     budget: Option<&'a BudgetState>,
 }
 
 impl<'a> Reader<'a> {
     /// Start reading at the beginning of `input`.
     pub fn new(input: &'a [u8]) -> Reader<'a> {
-        Reader { input, pos: 0, depth: 0, base: 0, budget: None }
-    }
-
-    /// Start reading `input` that is known to sit at absolute byte offset
-    /// `base` of some enclosing buffer, so that [`Reader::offset`] and the
-    /// spans of [`Reader::read_tlv_spanned`] index the enclosing buffer.
-    ///
-    /// Used by evidence capture to re-walk a slice (e.g. an extension's
-    /// OCTET STRING contents) while keeping provenance anchored to the
-    /// original certificate DER.
-    pub fn with_base(input: &'a [u8], base: usize) -> Reader<'a> {
-        Reader { input, pos: 0, depth: 0, base, budget: None }
+        Reader { input, pos: 0, depth: 0, budget: None }
     }
 
     /// Start reading `input` with every decoded element charged against
@@ -217,30 +213,12 @@ impl<'a> Reader<'a> {
     /// cumulative across the whole parse — call [`ParseBudget::admit`] on
     /// the input first to enforce `max_input`.
     pub fn with_budget(input: &'a [u8], budget: &'a BudgetState) -> Reader<'a> {
-        Reader { input, pos: 0, depth: 0, base: 0, budget: Some(budget) }
-    }
-
-    /// A reader over nested content octets at absolute offset `base` and
-    /// nesting depth `depth`, sharing an optional budget — the lazy
-    /// cursor's way of descending one level (`crate::cursor`).
-    pub(crate) fn nested_at(
-        input: &'a [u8],
-        base: usize,
-        depth: usize,
-        budget: Option<&'a BudgetState>,
-    ) -> Reader<'a> {
-        Reader { input, pos: 0, depth, base, budget }
+        Reader { input, pos: 0, depth: 0, budget: Some(budget) }
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.input.len() - self.pos
-    }
-
-    /// The cursor's absolute byte offset: position within this reader's
-    /// slice plus the base offset inherited from enclosing readers.
-    pub fn offset(&self) -> usize {
-        self.base.saturating_add(self.pos)
     }
 
     /// True when every byte has been consumed.
@@ -364,18 +342,6 @@ impl<'a> Reader<'a> {
         Ok(Tlv { tag, value, raw })
     }
 
-    /// Read the next complete TLV element together with the absolute byte
-    /// range it occupies (identifier + length + content octets).
-    ///
-    /// The span indexes the buffer handed to the root reader (see
-    /// [`Reader::with_base`]); evidence capture uses it to anchor findings
-    /// to concrete input bytes.
-    pub fn read_tlv_spanned(&mut self) -> Result<(Span, Tlv<'a>)> {
-        let start = self.offset();
-        let tlv = self.read_tlv()?;
-        Ok((Span { offset: start, len: tlv.raw.len() }, tlv))
-    }
-
     /// Read the next element and require tag `expected`.
     pub fn read_expected(&mut self, expected: Tag) -> Result<Tlv<'a>> {
         let tlv = self.read_tlv()?;
@@ -424,16 +390,8 @@ impl<'a> Reader<'a> {
             return Err(Error::DepthExceeded { limit: MAX_DEPTH });
         }
         let tlv = self.read_expected(tag)?;
-        // The content octets end where the element ends, so they start at
-        // the current absolute offset minus the value length.
-        let value_base = self.offset().saturating_sub(tlv.value.len());
-        let mut inner = Reader {
-            input: tlv.value,
-            pos: 0,
-            depth: self.depth + 1,
-            base: value_base,
-            budget: self.budget,
-        };
+        let mut inner =
+            Reader { input: tlv.value, pos: 0, depth: self.depth + 1, budget: self.budget };
         let out = f(&mut inner)?;
         inner.finish()?;
         Ok(out)
@@ -654,34 +612,28 @@ mod tests {
     }
 
     #[test]
-    fn spans_index_the_root_buffer_through_nesting() {
+    fn span_within_locates_borrowed_slices_only() {
         // SEQUENCE { INTEGER 05, SEQUENCE { INTEGER 07 } }
         let der = [0x30, 0x08, 0x02, 0x01, 0x05, 0x30, 0x03, 0x02, 0x01, 0x07];
         let mut r = Reader::new(&der);
-        let spans = r
+        let (first, nested) = r
             .read_sequence(|seq| {
-                assert_eq!(seq.offset(), 2, "content starts after the outer header");
-                let (a, _) = seq.read_tlv_spanned()?;
-                let inner = seq.read_sequence(|inner| {
-                    let (b, tlv) = inner.read_tlv_spanned()?;
-                    assert_eq!(tlv.value, &[0x07]);
-                    Ok(b)
-                })?;
-                Ok((a, inner))
+                let first = seq.read_tlv()?;
+                let nested = seq.read_sequence(|inner| inner.read_tlv())?;
+                Ok((first, nested))
             })
             .unwrap();
-        assert_eq!(spans.0, Span { offset: 2, len: 3 });
-        assert_eq!(spans.1, Span { offset: 7, len: 3 });
-        assert_eq!(&der[spans.1.offset..spans.1.end()], &[0x02, 0x01, 0x07]);
-    }
-
-    #[test]
-    fn with_base_shifts_spans() {
-        let der = [0x02, 0x01, 0x05];
-        let mut r = Reader::with_base(&der, 100);
-        let (span, _) = r.read_tlv_spanned().unwrap();
-        assert_eq!(span, Span { offset: 100, len: 3 });
-        assert_eq!(r.offset(), 103);
+        // A sub-slice, and a slice read two levels deep, index the root.
+        assert_eq!(Span::within(&der, first.raw), Some(Span { offset: 2, len: 3 }));
+        assert_eq!(Span::within(&der, nested.raw), Some(Span { offset: 7, len: 3 }));
+        assert_eq!(Span::within(&der, nested.value), Some(Span { offset: 9, len: 1 }));
+        assert_eq!(Span::within(&der, &der), Some(Span { offset: 0, len: der.len() }));
+        // Equal bytes elsewhere are not the input's bytes.
+        let copy = nested.raw.to_vec();
+        assert_eq!(Span::within(&der, &copy), None);
+        // A slice that starts inside but ends past the end is not within.
+        assert_eq!(Span::within(&der[..8], nested.raw), None);
+        assert_eq!(Span::within(&der[3..], first.raw), None);
     }
 
     #[test]

@@ -64,7 +64,6 @@ fn differential_args() -> (usize, u64) {
 
 struct ClassRow {
     matrix: ClassMatrix,
-    oracle: differential::OracleReport,
     parse_outcomes: Vec<(&'static str, usize)>,
     secs: f64,
 }
@@ -107,7 +106,6 @@ fn main() {
         let watch = Stopwatch::start();
         let report = survey::survey(serial_opts.registry(), &hostile, serial_opts, 0);
         let matrix = differential::run_class(class.label(), &hostile, &budget);
-        let oracle = differential::run_oracle(class.label(), &hostile, &budget);
         let nanos = watch.elapsed_nanos();
         telemetry::global()
             .gauge("bench.wall_ns", &format!("differential:{}", class.label()))
@@ -118,19 +116,6 @@ fn main() {
             "{}: a panic crossed the differential harness guard",
             class.label()
         );
-        assert_eq!(
-            oracle.escaped_panics, 0,
-            "{}: a panic crossed the borrowed-vs-owned oracle guard",
-            class.label()
-        );
-        assert_eq!(
-            oracle.disagreed,
-            0,
-            "{}: owned and borrowed parsers disagreed on {} inputs: {:?}",
-            class.label(),
-            oracle.disagreed,
-            oracle.examples
-        );
         let secs = nanos as f64 / 1e9;
         println!(
             "{:<18} {:>7} inputs  {:>7} unparsed  {:>8} values  {:>7} divergent  {:>7.3}s",
@@ -138,7 +123,6 @@ fn main() {
         );
         rows.push(ClassRow {
             matrix,
-            oracle,
             parse_outcomes: report.parse_outcomes.iter().map(|(k, v)| (*k, *v)).collect(),
             secs,
         });
@@ -149,21 +133,13 @@ fn main() {
     eprintln!("bench_differential: determinism check over {} inputs ...", combined.len());
     let serial = differential::run_class("combined", &combined, &budget);
     assert_eq!(serial.escaped_panics, 0, "combined batch leaked a panic");
-    let serial_oracle = differential::run_oracle("combined", &combined, &budget);
-    assert_eq!(serial_oracle.disagreed, 0, "combined batch: parsers disagreed");
     for threads in [1usize, 2, 4, 8] {
         let sharded = differential::run_class_sharded("combined", &combined, &budget, threads);
         assert_eq!(
             serial, sharded,
             "threads={threads}: divergence matrix differs from the serial baseline"
         );
-        let sharded_oracle =
-            differential::run_oracle_sharded("combined", &combined, &budget, threads);
-        assert_eq!(
-            serial_oracle, sharded_oracle,
-            "threads={threads}: oracle report differs from the serial baseline"
-        );
-        println!("determinism         threads={threads}: matrix and oracle byte-identical");
+        println!("determinism         threads={threads}: matrix byte-identical");
     }
     let total_secs = total.elapsed_nanos() as f64 / 1e9;
 
@@ -192,11 +168,10 @@ fn main() {
             let sep = if j + 1 < row.parse_outcomes.len() { ", " } else { "" };
             let _ = write!(outcomes, "\"{outcome}\": {n}{sep}");
         }
-        let o = &row.oracle;
         let _ = writeln!(
             json,
-            "    {{\"class\": \"{}\", \"inputs\": {}, \"unparsed\": {}, \"values\": {}, \"divergent\": {}, \"escaped_panics\": {}, \"parse_outcomes\": {{{}}}, \"oracle\": {{\"both_accept\": {}, \"both_reject\": {}, \"disagreed\": {}}}, \"profiles\": {{{}}}, \"secs\": {:.6}}}{comma}",
-            m.label, m.inputs, m.unparsed, m.values, m.divergent, m.escaped_panics, outcomes, o.both_accept, o.both_reject, o.disagreed, profiles, row.secs
+            "    {{\"class\": \"{}\", \"inputs\": {}, \"unparsed\": {}, \"values\": {}, \"divergent\": {}, \"escaped_panics\": {}, \"parse_outcomes\": {{{}}}, \"profiles\": {{{}}}, \"secs\": {:.6}}}{comma}",
+            m.label, m.inputs, m.unparsed, m.values, m.divergent, m.escaped_panics, outcomes, profiles, row.secs
         );
     }
     let _ = writeln!(json, "  ],");

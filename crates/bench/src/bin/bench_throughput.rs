@@ -26,12 +26,6 @@
 //! * `--min-speedup <ratio>` (requires `--baseline`): fail (exit 1) when
 //!   any configuration measured in both runs fell below `ratio` × the
 //!   baseline throughput — CI passes `0.9` to catch >10% regressions.
-//! * `--min-view-speedup <ratio>`: fail (exit 1) when the zero-copy
-//!   survey (bare bytes through `survey::survey`, over `CertView`) ran
-//!   slower than `ratio` × the owned decode+lint path *in the same run*.
-//!   Because both sides share one process and one corpus, machine speed
-//!   cancels out of the ratio — this is the gate shared-runner noise
-//!   cannot flip.
 //! * `--history <json>`: append one run record (id, corpus, fingerprint,
 //!   per-configuration certs/sec) to a cumulative trajectory file, so
 //!   throughput is comparable *across* PRs, not just against one baseline.
@@ -41,11 +35,11 @@
 use std::fmt::Write as _;
 
 use unicert::asn1::ParseBudget;
-use unicert::corpus::{CertMeta, CorpusEntry, CorpusGenerator};
+use unicert::corpus::{CorpusEntry, CorpusGenerator};
 use unicert::lint::RunOptions;
 use unicert::survey::{self, SurveyOptions, SurveyReport};
 use unicert::telemetry::{self, Stopwatch};
-use unicert::x509::{CertView, Certificate};
+use unicert::x509::CertView;
 use unicert_bench::baseline::Baseline;
 use unicert_bench::{corpus_args, flag_arg};
 
@@ -150,12 +144,6 @@ fn main() {
         eprintln!("--min-speedup requires --baseline");
         std::process::exit(2);
     }
-    let min_view_speedup: Option<f64> = flag_arg("--min-view-speedup").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("bad --min-view-speedup {v:?} (expected a ratio, e.g. 1.2)");
-            std::process::exit(2);
-        })
-    });
     let history_path = flag_arg("--history");
     let baseline = baseline_path.as_ref().map(|path| {
         let text = std::fs::read_to_string(path)
@@ -199,42 +187,32 @@ fn main() {
         thread_counts.push(machine);
     }
 
-    // Parse-only phase: raw decode throughput over the same DER, owned
-    // tree vs zero-copy view — isolates how much of the survey's budget
-    // the decoder itself consumes, and how much the borrowed path saves.
-    // Both passes must accept every generated certificate; the count check
+    // Parse-only phase: raw decode throughput over the same DER —
+    // isolates how much of the survey's budget the decoder itself
+    // consumes. Every generated certificate must parse; the count check
     // also keeps the optimizer from eliding the parses.
-    type ParsePass = fn(&[u8], &ParseBudget) -> bool;
     let budget = ParseBudget::default();
-    let mut parse_samples = Vec::new();
-    let passes: [(&'static str, ParsePass); 2] = [
-        ("parse_only_owned", |der, b| Certificate::parse_der_budgeted(der, b).is_ok()),
-        ("parse_only_view", |der, b| {
-            let state = b.start();
-            CertView::parse_der_budgeted(der, &state).is_ok()
-        }),
-    ];
-    for (label, parse_ok) in passes {
-        let watch = Stopwatch::start();
-        let mut ok = 0usize;
-        for entry in &corpus {
-            if parse_ok(&entry.cert.raw, &budget) {
-                ok += 1;
-            }
+    let label = "parse_only_view";
+    let watch = Stopwatch::start();
+    let mut ok = 0usize;
+    for entry in &corpus {
+        let state = budget.start();
+        if CertView::parse_der_budgeted(&entry.cert.raw, &state).is_ok() {
+            ok += 1;
         }
-        let nanos = watch.elapsed_nanos();
-        assert_eq!(ok, corpus.len(), "{label}: a generated certificate failed to parse");
-        telemetry::global().gauge("bench.wall_ns", label).set(nanos);
-        let secs = nanos as f64 / 1e9;
-        println!(
-            "{:<12} threads={:<2} {:>8.3}s  {:>12.0} certs/sec",
-            label,
-            1,
-            secs,
-            corpus.len() as f64 / secs
-        );
-        parse_samples.push(Sample { mode: label, metric: label.to_owned(), threads: 1 });
     }
+    let nanos = watch.elapsed_nanos();
+    assert_eq!(ok, corpus.len(), "{label}: a generated certificate failed to parse");
+    telemetry::global().gauge("bench.wall_ns", label).set(nanos);
+    let secs = nanos as f64 / 1e9;
+    println!(
+        "{:<12} threads={:<2} {:>8.3}s  {:>12.0} certs/sec",
+        label,
+        1,
+        secs,
+        corpus.len() as f64 / secs
+    );
+    let parse_sample = Sample { mode: label, metric: label.to_owned(), threads: 1 };
 
     let mut samples = vec![serial_sample];
     for threads in thread_counts {
@@ -251,74 +229,7 @@ fn main() {
         );
         samples.push(sample);
     }
-    samples.extend(parse_samples);
-
-    // Full-survey A/B over the same DER in the same process, both at one
-    // thread: the owned decode+lint kernel (eager `Certificate` tree,
-    // `LintContext::new`, content-inferred meta) against the zero-copy
-    // view path (bare bytes through `survey::survey`). The two reports
-    // must be byte-identical — the equivalence suite's invariant exercised
-    // at survey scale — and the wall-clock ratio is a machine-speed-free
-    // measure of the borrowed path's win: both sides see the same CPU, so
-    // runner noise cancels out of the ratio even when it swings absolute
-    // throughput 2x.
-    // Three alternated rounds; the reported ratio is the median round's,
-    // so a CPU-speed shift during any single window cannot flip the gate.
-    let ders: Vec<Vec<u8>> = corpus.iter().map(|e| e.cert.raw.clone()).collect();
-    let mut rounds: Vec<(u64, u64)> = Vec::new();
-    for round in 0..3 {
-        let watch = Stopwatch::start();
-        let owned_report = survey::run(
-            ders.iter().map(|der| {
-                let cert = Certificate::parse_der_budgeted(der, &budget)
-                    .expect("generated certificate parses");
-                let meta = CertMeta::inferred(&cert);
-                CorpusEntry { cert, meta }
-            }),
-            serial_opts,
-        );
-        let owned_nanos = watch.elapsed_nanos().max(1);
-
-        let watch = Stopwatch::start();
-        let view_report = survey::survey(serial_opts.registry(), &ders, serial_opts, 0);
-        let view_nanos = watch.elapsed_nanos().max(1);
-        rounds.push((owned_nanos, view_nanos));
-
-        if round == 0 {
-            // `parse_outcomes` is the one legitimate difference: the bytes
-            // path counts an "ok" per record it decoded, the pre-parsed
-            // owned path has nothing to count. Every aggregate downstream
-            // of parsing must match.
-            let mut owned_cmp = owned_report;
-            let mut view_cmp = view_report;
-            owned_cmp.parse_outcomes.clear();
-            view_cmp.parse_outcomes.clear();
-            assert_eq!(
-                owned_cmp, view_cmp,
-                "owned and zero-copy survey paths diverged on the same DER"
-            );
-        }
-    }
-    rounds.sort_by(|a, b| {
-        let ra = a.0 as f64 / a.1 as f64;
-        let rb = b.0 as f64 / b.1 as f64;
-        ra.partial_cmp(&rb).expect("ratios are finite")
-    });
-    let (owned_nanos, view_nanos) = rounds[1];
-    for (label, nanos) in [("survey_owned_bytes", owned_nanos), ("survey_view_bytes", view_nanos)] {
-        telemetry::global().gauge("bench.wall_ns", label).set(nanos);
-        let secs = nanos as f64 / 1e9;
-        println!(
-            "{:<12} threads={:<2} {:>8.3}s  {:>12.0} certs/sec",
-            label,
-            1,
-            secs,
-            corpus.len() as f64 / secs
-        );
-        samples.push(Sample { mode: label, metric: label.to_owned(), threads: 1 });
-    }
-    let view_speedup = owned_nanos as f64 / view_nanos as f64;
-    println!("speedup      view vs owned (median of 3 same-run rounds)  {view_speedup:.3}x");
+    samples.push(parse_sample);
 
     // The registry snapshot is the single source of wall-clock truth: the
     // JSON below reads every number back out of `bench.wall_ns`.
@@ -336,7 +247,6 @@ fn main() {
     let _ = writeln!(json, "  \"fingerprint\": \"{fingerprint}\",");
     let _ = writeln!(json, "  \"shard_size\": {shard_size},");
     let _ = writeln!(json, "  \"machine_threads\": {machine},");
-    let _ = writeln!(json, "  \"view_speedup_same_run\": {view_speedup:.3},");
     let _ = writeln!(json, "  \"runs\": [");
     for (i, s) in samples.iter().enumerate() {
         let comma = if i + 1 < samples.len() { "," } else { "" };
@@ -434,14 +344,5 @@ fn main() {
             );
         }
         std::process::exit(1);
-    }
-    if let Some(floor) = min_view_speedup {
-        if view_speedup < floor {
-            eprintln!(
-                "FATAL: the zero-copy survey ran at {view_speedup:.3}x the owned path \
-                 in the same run (floor: {floor:.3}x)"
-            );
-            std::process::exit(1);
-        }
     }
 }

@@ -59,7 +59,7 @@ fn classify_name(name: &GeneralName) -> (bool, bool) {
 
 /// Classify a certificate.
 pub fn classify(cert: &Certificate) -> UnicertClass {
-    classify_ctx(&LintContext::new(cert))
+    classify_ctx(&LintContext::from_view(&cert.view()))
 }
 
 /// Classify through a memoized [`LintContext`], sharing parsed extensions

@@ -519,8 +519,8 @@ pub enum Input<'a> {
     /// DER, parsed once into a zero-copy [`CertView`], with the
     /// ground-truth metadata when the caller has it.
     Der(&'a [u8], Option<&'a CertMeta>),
-    /// A certificate its producer already parsed, linted in place, with
-    /// its ground-truth metadata.
+    /// A certificate its producer already parsed, lent to the lints as a
+    /// view ([`Certificate::view`]), with its ground-truth metadata.
     Parsed(&'a Certificate, &'a CertMeta),
 }
 
@@ -529,8 +529,9 @@ pub enum Input<'a> {
 ///
 /// The survey reduces every input form to this shape:
 ///
-/// * [`CorpusEntry`] — a generated certificate, linted from the tree the
-///   generator already parsed, with its metadata borrowed;
+/// * [`CorpusEntry`] — a generated certificate, linted through a view
+///   lent from the tree the generator already built, with its metadata
+///   borrowed;
 /// * [`RawEntry`] — a store record, its DER borrowed from a segment
 ///   buffer;
 /// * `Vec<u8>` — bare bytes, possibly hostile, with metadata inferred
@@ -586,11 +587,12 @@ impl<T: SurveyInput> SurveyInput for &T {
 
 /// Fold one input into `report` — the survey's one kernel.
 ///
-/// A parsed input goes straight to the precertificate filter. DER is
-/// parsed into a [`CertView`] under a fresh state of `budget`, inside
-/// [`catch_unwind`] together with metadata inference; DER that does not
-/// parse is reported by the [`SurveyInput`] policy. Every certificate that
-/// passes the precertificate filter runs through [`accumulate_ctx`].
+/// A parsed input goes straight to the precertificate filter and is then
+/// lent as a [`CertView`]. DER is parsed into a view under a fresh state
+/// of `budget`, inside [`catch_unwind`] together with metadata inference;
+/// DER that does not parse is reported by the [`SurveyInput`] policy.
+/// Every certificate that passes the precertificate filter runs through
+/// [`accumulate_ctx`].
 fn accumulate(
     report: &mut SurveyReport,
     registry: &unicert_lint::Registry,
@@ -614,7 +616,8 @@ fn accumulate(
                 report.precerts_filtered += 1;
                 return;
             }
-            let ctx = unicert_lint::LintContext::new(cert);
+            let view = cert.view();
+            let ctx = unicert_lint::LintContext::from_view(&view);
             return accumulate_ctx(report, registry, index, &ctx, meta, opts, telemetry);
         }
     };
@@ -1191,9 +1194,10 @@ mod tests {
         assert_eq!(FIELD_LABELS[7..], ["SAN", "CP"]);
     }
 
-    /// Does the injected chaos lint panic on this certificate?
-    fn panics_on(cert: &unicert_x509::Certificate) -> bool {
-        cert.tbs.serial.last().is_some_and(|b| b % 8 == 3)
+    /// Does the injected chaos lint panic on the certificate with this
+    /// serial?
+    fn panics_on(serial: &[u8]) -> bool {
+        serial.last().is_some_and(|b| b % 8 == 3)
     }
 
     /// The default registry plus one deliberately panicking lint.
@@ -1211,7 +1215,7 @@ mod tests {
             nc_type: NoncomplianceType::InvalidEncoding,
             new_lint: false,
             check: Box::new(|ctx| {
-                if panics_on(ctx.cert()) {
+                if panics_on(ctx.serial()) {
                     panic!("injected lint panic");
                 }
                 LintStatus::Pass
@@ -1232,7 +1236,7 @@ mod tests {
         let affected: Vec<u64> = entries
             .iter()
             .enumerate()
-            .filter(|(_, e)| panics_on(&e.cert))
+            .filter(|(_, e)| panics_on(&e.cert.tbs.serial))
             .map(|(i, _)| i as u64)
             .collect();
         assert!(!affected.is_empty(), "predicate must hit the corpus");
@@ -1246,7 +1250,7 @@ mod tests {
         // and one quarantine record per affected cert.
         let spared: Vec<_> = entries
             .iter()
-            .filter(|e| !panics_on(&e.cert))
+            .filter(|e| !panics_on(&e.cert.tbs.serial))
             .cloned()
             .collect();
         let mut expected = survey(unicert_corpus::lint_registry(), &spared, threads(1), 0);
@@ -1360,7 +1364,7 @@ mod tests {
         let report = crate::pool::quiet_panics(|| survey(&sabotaged, &entries, opts, 0));
         assert!(!report.quarantine.is_empty());
         for q in &report.quarantine {
-            assert!(panics_on(&entries[q.index as usize].cert), "index {}", q.index);
+            assert!(panics_on(&entries[q.index as usize].cert.tbs.serial), "index {}", q.index);
             // The flight dump's unit id is the same global stream index.
             assert!(
                 q.flight.first().is_some_and(|l| l.starts_with(&format!("unit {} ", q.index))),

@@ -397,8 +397,8 @@ fn expected_nc_factor(lo: i32, hi: i32) -> f64 {
     let mut acc = 0.0;
     for y in lo..=hi {
         let w = trend::year_weight(y);
-        weight_sum += w;
-        acc += w * trend::nc_year_factor(y);
+        weight_sum += w; // analysis:allow(float_accum) sequential loop over a fixed year range — order is identical every run
+        acc += w * trend::nc_year_factor(y); // analysis:allow(float_accum) sequential loop over a fixed year range — order is identical every run
     }
     if weight_sum <= 0.0 {
         1.0

@@ -55,7 +55,7 @@ mod tests {
     fn run_one(name: &str, cert: &unicert_x509::Certificate) -> LintStatus {
         let lints = lints();
         let lint = lints.iter().find(|l| l.name == name).unwrap();
-        (lint.check)(&LintContext::new(cert))
+        (lint.check)(&LintContext::from_view(&cert.view()))
     }
 
     fn builder() -> CertificateBuilder {

@@ -8,9 +8,12 @@
 //! is computed lazily on first use and memoized for the rest of the
 //! certificate's analysis.
 //!
-//! Memoization is invalidation-free by construction — the context borrows an
-//! immutable [`Certificate`] and nothing mutates it during a run, so a cached
-//! value can never go stale. The context is intentionally `!Send`/`!Sync`
+//! The context reads one certificate representation, a [`CertView`]: the
+//! survey's zero-copy parse, or an owned [`Certificate`] lent as a view
+//! ([`Certificate::view`]) without parsing. Memoization is
+//! invalidation-free by construction — the context borrows an immutable
+//! view and nothing mutates it during a run, so a cached value can never
+//! go stale. The context is intentionally `!Send`/`!Sync`
 //! (plain `OnceCell`/`RefCell`/`Rc`, no atomics): the sharded survey pipeline
 //! builds one context per certificate *inside* a worker, so cross-thread
 //! sharing never happens and the caches stay free of synchronization cost.
@@ -22,6 +25,14 @@
 //! [`LintContext::ace_labels`], the verdicts of its ACE labels, filled
 //! through the context's per-label map. The checks read these stored
 //! results instead of re-scanning or re-splitting the text.
+//!
+//! In evidence mode ([`LintContext::with_evidence`]) each cached value also
+//! carries its [`Origin`]: where its bytes sit in the certificate DER. Every
+//! slice of a parsed view borrows that DER, so the span is read off the
+//! slice itself ([`Span::within`]); only the top-level elements of each
+//! extension value are found by walking the value once. A lent view's
+//! slices are not in an encoding, so its origins fall back to the whole
+//! certificate.
 //!
 //! Cache-effectiveness counters (`ctx.cache.hit` / `ctx.cache.miss`, labelled
 //! by field family: `san`, `dn_text`, `punycode`, `nfc`) are tallied in plain
@@ -35,17 +46,17 @@ use crate::facts::{CharClasses, LabelShape, ValueFacts};
 use crate::framework::Evidence;
 use crate::helpers::Which;
 use unicert_asn1::oid::known;
-use unicert_asn1::{strings, Oid, Span, StringKind};
+use unicert_asn1::{strings, Oid, Reader, Span, StringKind};
 use unicert_idna::label::{
     decode_payload, has_ace_prefix, validate_ldh, validate_nfc_u_label, ALabelStatus,
 };
 use unicert_idna::punycode;
 use unicert_unicode::nfc;
-use unicert_x509::extensions::{parse_extension_value, ParsedExtension, PolicyQualifier};
+use unicert_x509::extensions::{ParsedExtension, PolicyQualifier};
 use unicert_x509::value::{self, lossy_text};
-use unicert_x509::{
-    CertSpans, CertView, Certificate, DistinguishedName, GeneralName, RawValue, Validity,
-};
+use unicert_x509::{AttrView, CertView, DnView, GeneralName, RawValue, Validity};
+#[cfg(doc)]
+use unicert_x509::Certificate;
 
 /// Hit/miss tally for one cached field family.
 #[derive(Debug, Default)]
@@ -137,11 +148,36 @@ pub struct Origin {
 /// The origins a lint's check touched since the last `begin_check`.
 type TouchLog = Rc<RefCell<Vec<Rc<Origin>>>>;
 
-/// Evidence-mode state: the certificate's span map (when capturable) and
-/// the per-check touch log the framework drains into findings.
+/// Evidence-mode state: the item spans of every extension value and the
+/// per-check touch log the framework drains into findings.
 struct EvidenceState {
-    spans: Option<CertSpans>,
+    /// [`value_items`] of each extension, in wire order.
+    items: Vec<Vec<Span>>,
     touched: TouchLog,
+}
+
+/// Spans in `raw` of the top-level elements of an extension value that is
+/// exactly one constructed element: one per GeneralName of a SAN/IAN, per
+/// AccessDescription of an AIA/SIA, per DistributionPoint of a CRLDP, per
+/// PolicyInformation of certificatePolicies. Empty for any other shape,
+/// for a value with a malformed element, and for a value outside `raw`.
+fn value_items(raw: &[u8], value: &[u8]) -> Vec<Span> {
+    let mut r = Reader::new(value);
+    let Ok(outer) = r.read_tlv() else {
+        return Vec::new();
+    };
+    if !r.is_empty() || !outer.tag.constructed {
+        return Vec::new();
+    }
+    let mut items = outer.contents();
+    let mut out = Vec::new();
+    while !items.is_empty() {
+        match items.read_tlv().ok().and_then(|item| Span::within(raw, item.raw)) {
+            Some(span) => out.push(span),
+            None => return Vec::new(),
+        }
+    }
+    out
 }
 
 /// A string value with memoized decode results.
@@ -441,32 +477,17 @@ impl LabelInfo {
     }
 }
 
-/// Where the certificate under analysis lives: the owned model or the
-/// zero-copy borrowed view. Every context accessor reads through this, so
-/// the whole catalog, the classify stage, and the field matrix run
-/// unchanged on either representation.
-enum Source<'c> {
-    /// The owned [`Certificate`] model (build/encode/evidence paths).
-    Owned(&'c Certificate),
-    /// The borrowed [`CertView`] (the survey hot path).
-    View(&'c CertView<'c>),
-}
-
 /// The memoized per-certificate analysis context.
 ///
-/// Built once per certificate ([`LintContext::new`] /
-/// [`LintContext::from_view`]) and handed to every lint `check`, to the
-/// survey classify stage, and to the field matrix. All accessors are lazy:
-/// a certificate with no SAN never pays for SAN parsing, and a lint that
-/// never runs never triggers its inputs.
+/// Built once per certificate ([`LintContext::from_view`] /
+/// [`LintContext::with_evidence`]) and handed to every lint `check`, to
+/// the survey classify stage, and to the field matrix. All accessors are
+/// lazy: a certificate with no SAN never pays for SAN parsing, and a lint
+/// that never runs never triggers its inputs.
 pub struct LintContext<'c> {
-    source: Source<'c>,
-    /// Owned materialization of a view source, built only if a consumer
-    /// insists on `&Certificate` (off the hot path; lints use the typed
-    /// accessors instead).
-    owned: OnceCell<Box<Certificate>>,
+    view: &'c CertView<'c>,
     stats: Rc<CacheStats>,
-    /// Parse results parallel to `cert.tbs.extensions` (`None` = malformed
+    /// Parse results parallel to `view.extensions` (`None` = malformed
     /// body). Iterating *all* entries preserves duplicate-extension
     /// semantics for the classify stage; the first-matching-OID scan
     /// preserves `TbsCertificate::extension` semantics for the lints.
@@ -492,37 +513,32 @@ pub struct LintContext<'c> {
 }
 
 impl<'c> LintContext<'c> {
-    /// A fresh (everything-lazy) context for one certificate.
-    pub fn new(cert: &'c Certificate) -> LintContext<'c> {
-        Self::build(Source::Owned(cert), None)
-    }
-
-    /// A fresh context over a zero-copy [`CertView`]: the survey hot path.
-    /// Identical analysis results to [`LintContext::new`] on the owned
-    /// parse of the same DER; evidence capture is not available here (use
-    /// the owned constructor for evidence runs).
+    /// A fresh (everything-lazy) context for one certificate: a parsed
+    /// view on the survey path, or an owned certificate's lent view
+    /// ([`Certificate::view`]).
     pub fn from_view(view: &'c CertView<'c>) -> LintContext<'c> {
-        Self::build(Source::View(view), None)
+        Self::build(view, None)
     }
 
-    /// A context that additionally captures byte-range provenance: the
-    /// certificate's span map is walked up front ([`CertSpans::capture`]),
-    /// every cached value carries its [`Origin`], and the registry drains
-    /// the values each check touched into [`Evidence`] on its findings.
+    /// A context that additionally captures byte-range provenance: every
+    /// cached value carries its [`Origin`], and the registry drains the
+    /// values each check touched into [`Evidence`] on its findings. The
+    /// spans are found in a parsed view; a lent view anchors every origin
+    /// to the whole certificate.
     ///
-    /// Strictly off the survey hot path — use [`LintContext::new`] there.
-    pub fn with_evidence(cert: &'c Certificate) -> LintContext<'c> {
+    /// Strictly off the survey hot path — use [`LintContext::from_view`]
+    /// there.
+    pub fn with_evidence(view: &'c CertView<'c>) -> LintContext<'c> {
         let state = EvidenceState {
-            spans: CertSpans::capture(&cert.raw).ok(),
+            items: view.extensions.iter().map(|e| value_items(view.raw, e.value)).collect(),
             touched: Rc::new(RefCell::new(Vec::new())),
         };
-        Self::build(Source::Owned(cert), Some(state))
+        Self::build(view, Some(state))
     }
 
-    fn build(source: Source<'c>, evidence: Option<EvidenceState>) -> LintContext<'c> {
+    fn build(view: &'c CertView<'c>, evidence: Option<EvidenceState>) -> LintContext<'c> {
         LintContext {
-            source,
-            owned: OnceCell::new(),
+            view,
             stats: Rc::new(CacheStats::default()),
             parsed_exts: OnceCell::new(),
             subject: OnceCell::new(),
@@ -543,48 +559,20 @@ impl<'c> LintContext<'c> {
         }
     }
 
-    /// The certificate under analysis, as the owned model. For an owned
-    /// source this is free; for a view source the owned tree is
-    /// materialized once and cached (off the hot path — prefer the typed
-    /// accessors below, which read the view directly).
-    pub fn cert(&self) -> &Certificate {
-        match self.source {
-            Source::Owned(cert) => cert,
-            Source::View(view) => self.owned.get_or_init(|| Box::new(view.to_owned())),
-        }
-    }
-
-    /// Length of the raw certificate DER (whole-certificate span fallback).
-    fn raw_len(&self) -> usize {
-        match self.source {
-            Source::Owned(cert) => cert.raw.len(),
-            Source::View(view) => view.raw.len(),
-        }
-    }
-
     /// The serial number magnitude.
     pub fn serial(&self) -> &[u8] {
-        match self.source {
-            Source::Owned(cert) => &cert.tbs.serial,
-            Source::View(view) => view.serial,
-        }
+        self.view.serial
     }
 
     /// The validity window.
     pub fn validity(&self) -> &Validity {
-        match self.source {
-            Source::Owned(cert) => &cert.tbs.validity,
-            Source::View(view) => &view.validity,
-        }
+        &self.view.validity
     }
 
     /// Index of the first extension carrying `oid`, in wire order — the
     /// extension `TbsCertificate::extension` selects.
     pub fn extension_position(&self, oid: &Oid) -> Option<usize> {
-        match self.source {
-            Source::Owned(cert) => cert.tbs.extensions.iter().position(|e| &e.oid == oid),
-            Source::View(view) => view.extensions.iter().position(|e| &e.oid == oid),
-        }
+        self.view.extensions.iter().position(|e| &e.oid == oid)
     }
 
     /// Is an extension with `oid` present?
@@ -596,24 +584,19 @@ impl<'c> LintContext<'c> {
     /// present.
     pub fn extension_critical(&self, oid: &Oid) -> Option<bool> {
         let idx = self.extension_position(oid)?;
-        match self.source {
-            Source::Owned(cert) => cert.tbs.extensions.get(idx).map(|e| e.critical),
-            Source::View(view) => view.extensions.get(idx).map(|e| e.critical),
-        }
+        self.view.extensions.get(idx).map(|e| e.critical)
     }
 
     /// True if the DN has no RDNs (an "empty subject"). Distinct from
     /// having no *attributes*: an RDN with an empty SET still counts.
     pub fn dn_is_empty(&self, which: Which) -> bool {
-        match self.source {
-            Source::Owned(cert) => match which {
-                Which::Subject => cert.tbs.subject.is_empty(),
-                Which::Issuer => cert.tbs.issuer.is_empty(),
-            },
-            Source::View(view) => match which {
-                Which::Subject => view.subject.is_empty(),
-                Which::Issuer => view.issuer.is_empty(),
-            },
+        self.dn_view(which).is_empty()
+    }
+
+    fn dn_view(&self, which: Which) -> &'c DnView<'c> {
+        match which {
+            Which::Subject => &self.view.subject,
+            Which::Issuer => &self.view.issuer,
         }
     }
 
@@ -634,11 +617,6 @@ impl<'c> LintContext<'c> {
         self.evidence.is_some()
     }
 
-    /// The certificate's span map, when evidence mode captured one.
-    pub fn cert_spans(&self) -> Option<&CertSpans> {
-        self.evidence.as_ref().and_then(|e| e.spans.as_ref())
-    }
-
     /// Clear the touch log before a lint's check runs (framework only).
     pub(crate) fn begin_check(&self) {
         if let Some(ev) = &self.evidence {
@@ -648,8 +626,8 @@ impl<'c> LintContext<'c> {
 
     /// Drain the origins the last check touched into [`Evidence`] entries,
     /// deduplicated in touch order. A check that touched nothing trackable
-    /// (it read the certificate struct directly) yields one whole-TBS
-    /// fallback so every finding still carries an in-bounds span.
+    /// (it read an untracked accessor such as the validity) yields one
+    /// whole-TBS fallback so every finding still carries an in-bounds span.
     pub(crate) fn drain_evidence(&self, citation: &'static str) -> Vec<Evidence> {
         let Some(ev) = &self.evidence else {
             return Vec::new();
@@ -672,10 +650,8 @@ impl<'c> LintContext<'c> {
             });
         }
         if out.is_empty() {
-            let span = match &ev.spans {
-                Some(s) => s.tbs,
-                None => Span { offset: 0, len: self.raw_len() },
-            };
+            let span = Span::within(self.view.raw, self.view.raw_tbs)
+                .unwrap_or(Span { offset: 0, len: self.view.raw.len() });
             out.push(Evidence {
                 span,
                 tlv_path: "tbs".to_string(),
@@ -708,76 +684,54 @@ impl<'c> LintContext<'c> {
         Rc::new(Origin { span, tlv_path, raw: raw_text, normalized })
     }
 
-    /// Provenance pair for a value whose origin resolver succeeds, shared
-    /// with the context's touch log. `None` when evidence is off.
+    /// Provenance pair for a value, shared with the context's touch log.
+    /// `None` when evidence is off. `locate` finds the value's span and
+    /// path; when it cannot (a lent view, whose bytes are not in an
+    /// encoding), the origin is the whole certificate.
     fn provenance(
         &self,
         tag_number: u32,
         bytes: &[u8],
-        resolve: impl FnOnce(&CertSpans) -> Option<(Span, String)>,
+        locate: impl FnOnce(&EvidenceState) -> Option<(Span, String)>,
     ) -> Option<(Rc<Origin>, TouchLog)> {
         let ev = self.evidence.as_ref()?;
-        let (span, path) = match ev.spans.as_ref().and_then(resolve) {
-            Some(hit) => hit,
-            // Span map unavailable (hostile DER the walker refused):
-            // anchor to the whole certificate rather than dropping
-            // provenance entirely.
-            None => (Span { offset: 0, len: self.raw_len() }, "certificate".to_string()),
-        };
+        let (span, path) = locate(ev).unwrap_or_else(|| {
+            (Span { offset: 0, len: self.view.raw.len() }, "certificate".to_string())
+        });
         Some((self.make_origin(tag_number, bytes, span, path), Rc::clone(&ev.touched)))
     }
 
-    /// Origin resolver for the `child`-th top-level element inside the
-    /// first extension carrying `oid`, falling back to the extension's
-    /// value span when the child wasn't individually mapped.
-    fn ext_child_resolver(
-        &self,
-        oid: &Oid,
-        child: usize,
-    ) -> impl FnOnce(&CertSpans) -> Option<(Span, String)> + '_ {
-        let oid = oid.clone();
-        move |spans: &CertSpans| {
-            let idx = self.extension_position(&oid)?;
-            let ext = spans.extension(idx)?;
-            match ext.children.get(child) {
-                Some(span) => Some((*span, spans.ext_child_path(idx, child))),
-                None => Some((ext.value, spans.ext_path(idx))),
-            }
-        }
-    }
-
-    /// Cache a value that came from extension `oid`'s `child`-th element.
+    /// Cache a value that came from the `child`-th top-level element of
+    /// the first extension carrying `oid`. Its origin is that element, or
+    /// the whole extension value when the value has no such element.
     fn cached_ext(&self, v: WireValue<'_>, oid: &Oid, child: usize) -> CachedVal {
         let (tag_number, bytes) = v;
-        let provenance = self.provenance(tag_number, bytes, self.ext_child_resolver(oid, child));
-        CachedVal::new(tag_number, bytes, Rc::clone(&self.stats), provenance)
-    }
-
-    /// Cache the `idx`-th attribute value of a DN.
-    fn cached_dn(&self, tag_number: u32, bytes: &[u8], which: Which, idx: usize) -> CachedVal {
-        let provenance = self.provenance(tag_number, bytes, |spans| {
-            let (attrs, name) = match which {
-                Which::Subject => (&spans.subject_attrs, "subject"),
-                Which::Issuer => (&spans.issuer_attrs, "issuer"),
-            };
-            let span = *attrs.get(idx)?;
-            Some((span, CertSpans::dn_attr_path(name, idx)))
+        let provenance = self.provenance(tag_number, bytes, |ev| {
+            let idx = self.extension_position(oid)?;
+            let ext = self.view.extensions.get(idx)?;
+            let path = format!("tbs.ext[{idx}]({})", ext.oid);
+            match ev.items.get(idx).and_then(|items| items.get(child)) {
+                Some(span) => Some((*span, format!("{path}.item[{child}]"))),
+                None => Some((Span::within(self.view.raw, ext.value)?, path)),
+            }
         });
         CachedVal::new(tag_number, bytes, Rc::clone(&self.stats), provenance)
     }
 
-    // --- DNs ------------------------------------------------------------
-
-    /// Select a DN as the owned model (materializes a view source —
-    /// prefer [`LintContext::dn_attrs`] and the typed DN accessors, which
-    /// read either source directly).
-    pub fn dn(&self, which: Which) -> &DistinguishedName {
-        let cert = self.cert();
-        match which {
-            Which::Subject => &cert.tbs.subject,
-            Which::Issuer => &cert.tbs.issuer,
-        }
+    /// Cache the `idx`-th attribute of a DN. Its origin is the value's
+    /// whole TLV.
+    fn cached_dn(&self, attr: &AttrView<'_>, which: Which, idx: usize) -> CachedVal {
+        let provenance = self.provenance(attr.tag_number, attr.value, |_| {
+            let name = match which {
+                Which::Subject => "subject",
+                Which::Issuer => "issuer",
+            };
+            Some((attr.tlv_span(self.view.raw)?, format!("tbs.{name}.attr[{idx}].value")))
+        });
+        CachedVal::new(attr.tag_number, attr.value, Rc::clone(&self.stats), provenance)
     }
+
+    // --- DNs ------------------------------------------------------------
 
     /// All attributes of a DN in wire order, with cached values.
     pub fn dn_attrs(&self, which: Which) -> &[DnAttr] {
@@ -791,34 +745,13 @@ impl<'c> LintContext<'c> {
         };
         self.stats.dn_text.touch(cell.get().is_some());
         cell.get_or_init(|| {
-            DnCache::new(match self.source {
-                Source::Owned(cert) => {
-                    let dn = match which {
-                        Which::Subject => &cert.tbs.subject,
-                        Which::Issuer => &cert.tbs.issuer,
-                    };
-                    dn.attributes()
-                        .enumerate()
-                        .map(|(i, a)| DnAttr {
-                            oid: a.oid.clone(),
-                            val: self.cached_dn(a.value.tag_number, &a.value.bytes, which, i),
-                        })
-                        .collect()
-                }
-                Source::View(view) => {
-                    let dn = match which {
-                        Which::Subject => &view.subject,
-                        Which::Issuer => &view.issuer,
-                    };
-                    dn.attributes()
-                        .enumerate()
-                        .map(|(i, a)| DnAttr {
-                            oid: a.oid.clone(),
-                            val: self.cached_dn(a.tag_number, a.value, which, i),
-                        })
-                        .collect()
-                }
-            })
+            DnCache::new(
+                self.dn_view(which)
+                    .attributes()
+                    .enumerate()
+                    .map(|(i, a)| DnAttr { oid: a.oid.clone(), val: self.cached_dn(a, which, i) })
+                    .collect(),
+            )
         })
     }
 
@@ -838,17 +771,11 @@ impl<'c> LintContext<'c> {
     // --- Extensions -----------------------------------------------------
 
     /// Parse results for every extension, parallel to
-    /// `cert.tbs.extensions`; `None` marks a malformed body.
+    /// `view.extensions`; `None` marks a malformed body.
     pub fn parsed_extensions(&self) -> &[Option<ParsedExtension>] {
         self.stats.san.touch(self.parsed_exts.get().is_some());
-        self.parsed_exts.get_or_init(|| match self.source {
-            Source::Owned(cert) => cert.tbs.extensions.iter().map(|e| e.parse().ok()).collect(),
-            Source::View(view) => view
-                .extensions
-                .iter()
-                .map(|e| parse_extension_value(&e.oid, e.value).ok())
-                .collect(),
-        })
+        self.parsed_exts
+            .get_or_init(|| self.view.extensions.iter().map(|e| e.parse().ok()).collect())
     }
 
     /// The parse result of the first extension carrying `oid` — the same
@@ -1134,7 +1061,7 @@ impl Drop for LintContext<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unicert_asn1::DateTime;
+    use unicert_asn1::{DateTime, Tag, Writer};
     use unicert_idna::label::LabelError;
     use unicert_x509::{CertificateBuilder, SimKey};
 
@@ -1149,7 +1076,8 @@ mod tests {
             .add_dns_san("a.example")
             .add_dns_san("xn--mnchen-3ya.de")
             .build_signed(&SimKey::from_seed("ctx"));
-        let ctx = LintContext::new(&cert);
+        let view = cert.view();
+        let ctx = LintContext::from_view(&view);
         let direct: Vec<String> = cert.tbs.san_dns_names();
         let cached: Vec<String> =
             ctx.san_dns().iter().map(|v| v.raw().display_lossy()).collect();
@@ -1165,7 +1093,8 @@ mod tests {
     #[test]
     fn wire_text_memoizes() {
         let cert = builder().subject_cn("Müller").build_signed(&SimKey::from_seed("ctx"));
-        let ctx = LintContext::new(&cert);
+        let view = cert.view();
+        let ctx = LintContext::from_view(&view);
         let vals: Vec<_> = ctx.attr_vals(Which::Subject, &known::common_name()).collect();
         assert_eq!(vals.len(), 1);
         let v = vals[0];
@@ -1180,7 +1109,8 @@ mod tests {
     #[test]
     fn label_info_matches_classify_a_label() {
         let cert = builder().build_signed(&SimKey::from_seed("ctx"));
-        let ctx = LintContext::new(&cert);
+        let view = cert.view();
+        let ctx = LintContext::from_view(&view);
         for label in [
             "xn--mnchen-3ya",
             "xn--99999999999",
@@ -1206,7 +1136,8 @@ mod tests {
     #[test]
     fn label_info_non_nfc_and_roundtrip_match_t2_logic() {
         let cert = builder().build_signed(&SimKey::from_seed("ctx"));
-        let ctx = LintContext::new(&cert);
+        let view = cert.view();
+        let ctx = LintContext::from_view(&view);
         let decomposed = "mu\u{308}nchen";
         let a = format!("xn--{}", punycode::encode(decomposed).unwrap());
         assert!(ctx.label_info(&a).non_nfc);
@@ -1255,6 +1186,105 @@ mod tests {
         assert_eq!(cn_ev.normalized.as_deref(), Some("münchen"));
     }
 
+    /// The bytes of `raw` a span covers.
+    fn bytes_at(raw: &[u8], span: Span) -> &[u8] {
+        &raw[span.offset..span.end()]
+    }
+
+    #[test]
+    fn dn_attribute_origins_are_the_value_tlvs_inside_their_name() {
+        let cert = builder()
+            .subject_attr(known::country_name(), StringKind::Printable, "DE")
+            .subject_attr(known::organization_name(), StringKind::Utf8, "Müller GmbH")
+            .subject_cn("mu\u{308}nchen.example")
+            .issuer_org("Span CA")
+            .build_signed(&SimKey::from_seed("ctx-ev"));
+        let view = CertView::parse_der(&cert.raw).unwrap();
+        let ctx = LintContext::with_evidence(&view);
+        for (which, dn, label) in [
+            (Which::Subject, &cert.tbs.subject, "subject"),
+            (Which::Issuer, &cert.tbs.issuer, "issuer"),
+        ] {
+            let name = dn.to_der();
+            let name_at = cert.raw.windows(name.len()).position(|w| w == name).unwrap();
+            let name_span = Span { offset: name_at, len: name.len() };
+            let attrs = ctx.dn_attrs(which);
+            assert_eq!(attrs.len(), dn.attributes().count(), "{label}");
+            for (i, (attr, owned)) in attrs.iter().zip(dn.attributes()).enumerate() {
+                let origin = attr.val.origin().expect("evidence mode records origins");
+                assert_eq!(origin.tlv_path, format!("tbs.{label}.attr[{i}].value"));
+                assert!(name_span.contains(&origin.span), "{label}[{i}] outside its Name");
+                let mut tlv = Writer::new();
+                tlv.write_tlv(Tag::universal(owned.value.tag_number), &owned.value.bytes);
+                let found = bytes_at(&cert.raw, origin.span);
+                assert!(found.ends_with(&owned.value.bytes), "{label}[{i}] value octets");
+                assert_eq!(found, tlv.as_bytes(), "{label}[{i}] is the whole value TLV");
+            }
+        }
+    }
+
+    #[test]
+    fn san_dns_origins_are_the_extension_items() {
+        let names = ["a.example", "xn--mnchen-3ya.de", "c.example"];
+        let mut b = builder().subject_cn("a.example");
+        for name in names {
+            b = b.add_dns_san(name);
+        }
+        let cert = b.build_signed(&SimKey::from_seed("ctx-ev"));
+        let view = CertView::parse_der(&cert.raw).unwrap();
+        let ctx = LintContext::with_evidence(&view);
+        let san = ctx.extension_position(&known::subject_alt_name()).unwrap();
+        let vals = ctx.san_dns();
+        assert_eq!(vals.len(), names.len());
+        for (k, (val, name)) in vals.iter().zip(names).enumerate() {
+            let origin = val.origin().unwrap();
+            assert_eq!(origin.tlv_path, format!("tbs.ext[{san}](2.5.29.17).item[{k}]"));
+            let found = bytes_at(&cert.raw, origin.span);
+            assert_eq!(found.len(), name.len() + 2, "item[{k}] is one GeneralName TLV");
+            assert!(found.ends_with(name.as_bytes()), "item[{k}] ends with {name}");
+        }
+    }
+
+    #[test]
+    fn untracked_checks_fall_back_to_the_tbs() {
+        let cert = builder().subject_cn("a.example").build_signed(&SimKey::from_seed("ctx-ev"));
+        let view = CertView::parse_der(&cert.raw).unwrap();
+        let ctx = LintContext::with_evidence(&view);
+        ctx.begin_check();
+        let evidence = ctx.drain_evidence("none");
+        assert_eq!(evidence.len(), 1);
+        assert_eq!(evidence[0].tlv_path, "tbs");
+        assert_eq!(bytes_at(&cert.raw, evidence[0].span), cert.raw_tbs.as_slice());
+    }
+
+    #[test]
+    fn unparseable_raw_is_linted_through_the_lent_view() {
+        let mut cert = builder()
+            .subject_cn("mu\u{308}nchen")
+            .add_dns_san("a.example")
+            .build_signed(&SimKey::from_seed("ctx-ev"));
+        let registry = crate::catalog::default_registry();
+        let bare = registry.run(&cert, crate::framework::RunOptions::default());
+        // Trailing garbage: the tree is intact, its encoding no longer parses.
+        cert.raw.push(0x00);
+        assert!(CertView::parse_der(&cert.raw).is_err());
+        let opts = crate::framework::RunOptions { evidence: true, ..Default::default() };
+        let report = registry.run(&cert, opts);
+        let lints = |r: &crate::framework::CertReport| -> Vec<&str> {
+            r.findings.iter().map(|f| f.lint).collect()
+        };
+        assert!(report.is_noncompliant());
+        assert_eq!(lints(&report), lints(&bare));
+        let whole = Span { offset: 0, len: cert.raw.len() };
+        let mut anchored = 0;
+        for e in report.findings.iter().flat_map(|f| f.evidence.iter()) {
+            assert_eq!(e.span, whole, "{}", e.tlv_path);
+            assert!(e.tlv_path == "certificate" || e.tlv_path == "tbs", "{}", e.tlv_path);
+            anchored += usize::from(e.tlv_path == "certificate");
+        }
+        assert!(anchored > 0, "no value origin fell back to the whole certificate");
+    }
+
     #[test]
     fn evidence_off_leaves_findings_bare() {
         let cert = builder()
@@ -1269,7 +1299,8 @@ mod tests {
     #[test]
     fn absent_extensions_yield_empty_lists() {
         let cert = builder().subject_cn("no-ext.example").build_signed(&SimKey::from_seed("ctx"));
-        let ctx = LintContext::new(&cert);
+        let view = cert.view();
+        let ctx = LintContext::from_view(&view);
         assert!(ctx.san_rfc822().is_empty());
         assert!(ctx.ian_strings().is_empty());
         assert!(ctx.aia_uris().is_empty());

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use unicert_asn1::DateTime;
-use unicert_x509::Certificate;
+use unicert_x509::{CertView, Certificate};
 
 use crate::context::LintContext;
 
@@ -325,9 +325,9 @@ pub struct RunOptions {
     /// names fall back to the default rather than failing the run.
     pub profile: Option<&'static str>,
     /// Capture byte-range provenance: [`Registry::run`] builds the context
-    /// with [`LintContext::with_evidence`] so every finding carries
-    /// [`Evidence`]. Off by default — the survey hot path and the guarded
-    /// fingerprint never pay for provenance.
+    /// with [`LintContext::with_evidence`], over the certificate's encoding,
+    /// so every finding carries [`Evidence`]. Off by default — the survey
+    /// hot path and the guarded fingerprint never pay for provenance.
     pub evidence: bool,
 }
 
@@ -631,11 +631,20 @@ impl Registry {
     /// counted on the global `lint.certs` sequence) — a per-lint latency
     /// histogram. The findings are identical either way: telemetry never
     /// feeds back into the report.
+    ///
+    /// The certificate is lent as a view ([`Certificate::view`]). With
+    /// [`RunOptions::evidence`] the run lints the view parsed from
+    /// [`Certificate::raw`] instead, since spans locate bytes in the
+    /// encoding; when `raw` does not parse it lints the lent view, and
+    /// every origin is the whole certificate.
     pub fn run(&self, cert: &Certificate, opts: RunOptions) -> CertReport {
         if opts.evidence {
-            return self.run_ctx(&LintContext::with_evidence(cert), opts);
+            return match CertView::parse_der(&cert.raw) {
+                Ok(view) => self.run_ctx(&LintContext::with_evidence(&view), opts),
+                Err(_) => self.run_ctx(&LintContext::with_evidence(&cert.view()), opts),
+            };
         }
-        self.run_ctx(&LintContext::new(cert), opts)
+        self.run_ctx(&LintContext::from_view(&cert.view()), opts)
     }
 
     /// [`Registry::run`] against a caller-built [`LintContext`].

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use unicert_asn1::{ParseBudget, StringKind};
-use unicert_x509::{CertView, Certificate, GeneralName, ParsedExtension, RawValue};
+use unicert_x509::{Certificate, GeneralName, ParsedExtension, RawValue};
 
 use crate::context::{Field, ParseOutcome};
 use crate::profiles::{all_profiles, LibraryProfile};
@@ -277,151 +277,6 @@ pub fn run_class_sharded(
     merged
 }
 
-/// Result of replaying one batch through both of this codebase's own
-/// certificate decoders — the owned [`Certificate`] parser and the
-/// zero-copy [`CertView`] parser (the borrowed-vs-owned oracle).
-///
-/// The two parsers are specified to be *byte-identical observers*: on
-/// every input they must either both accept (producing structurally equal
-/// certificate trees) or both reject with the same [`unicert_asn1::Error`]
-/// value. `disagreed` counts inputs violating that contract; harness
-/// callers assert it to be zero, exactly like `escaped_panics`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OracleReport {
-    /// The batch label (mutation-class name).
-    pub label: String,
-    /// Inputs examined.
-    pub inputs: usize,
-    /// Inputs both parsers accepted with equal trees.
-    pub both_accept: usize,
-    /// Inputs both parsers rejected with equal errors.
-    pub both_reject: usize,
-    /// Inputs on which the parsers disagreed (acceptance, tree, or error).
-    pub disagreed: usize,
-    /// Panics that crossed either parser's guard; must be zero.
-    pub escaped_panics: usize,
-    /// Up to [`ORACLE_EXAMPLE_CAP`] human-readable disagreement examples.
-    pub examples: Vec<String>,
-}
-
-/// How many disagreement descriptions an [`OracleReport`] retains.
-pub const ORACLE_EXAMPLE_CAP: usize = 8;
-
-impl OracleReport {
-    /// Fold another shard of the same batch into this one (tallies are
-    /// sums over independent inputs; examples keep the first
-    /// [`ORACLE_EXAMPLE_CAP`] in input order).
-    pub fn absorb(&mut self, other: &OracleReport) {
-        debug_assert_eq!(self.label, other.label);
-        self.inputs += other.inputs;
-        self.both_accept += other.both_accept;
-        self.both_reject += other.both_reject;
-        self.disagreed += other.disagreed;
-        self.escaped_panics += other.escaped_panics;
-        for ex in &other.examples {
-            if self.examples.len() >= ORACLE_EXAMPLE_CAP {
-                break;
-            }
-            self.examples.push(ex.clone());
-        }
-    }
-}
-
-/// Replay `ders` through the owned and borrowed certificate parsers and
-/// report where they disagree. Both parses run under the same budget
-/// limits and a panic guard; an accepted view is materialized with
-/// [`CertView::to_owned`] so the comparison covers the whole tree, not
-/// just the accept/reject bit.
-pub fn run_oracle(label: &str, ders: &[Vec<u8>], budget: &ParseBudget) -> OracleReport {
-    let mut report = OracleReport { label: label.to_owned(), ..OracleReport::default() };
-    report.inputs = ders.len();
-    for (i, der) in ders.iter().enumerate() {
-        let owned =
-            catch_unwind(AssertUnwindSafe(|| Certificate::parse_der_budgeted(der, budget)));
-        let viewed = catch_unwind(AssertUnwindSafe(|| {
-            let state = budget.start();
-            CertView::parse_der_budgeted(der, &state).map(|v| v.to_owned())
-        }));
-        let (owned, viewed) = match (owned, viewed) {
-            (Ok(o), Ok(v)) => (o, v),
-            _ => {
-                report.escaped_panics += 1;
-                continue;
-            }
-        };
-        let example = match (&owned, &viewed) {
-            (Ok(o), Ok(v)) if o == v => {
-                report.both_accept += 1;
-                continue;
-            }
-            (Err(eo), Err(ev)) if eo == ev => {
-                report.both_reject += 1;
-                continue;
-            }
-            (Ok(_), Ok(_)) => format!("input #{i}: both accept but trees differ"),
-            (Ok(_), Err(ev)) => format!("input #{i}: owned accepts, view rejects ({ev:?})"),
-            (Err(eo), Ok(_)) => format!("input #{i}: view accepts, owned rejects ({eo:?})"),
-            (Err(eo), Err(ev)) => {
-                format!("input #{i}: errors differ (owned {eo:?}, view {ev:?})")
-            }
-        };
-        report.disagreed += 1;
-        if report.examples.len() < ORACLE_EXAMPLE_CAP {
-            report.examples.push(example);
-        }
-    }
-    report
-}
-
-/// Sharded [`run_oracle`] — contiguous chunks on scoped worker threads,
-/// folded in input order, byte-identical to the serial report at any
-/// `threads` value. Examples included: each shard keeps at least its
-/// earliest [`ORACLE_EXAMPLE_CAP`] disagreements (indexes rebased to the
-/// batch), so folding in input order reproduces exactly the serial
-/// report's first examples.
-pub fn run_oracle_sharded(
-    label: &str,
-    ders: &[Vec<u8>],
-    budget: &ParseBudget,
-    threads: usize,
-) -> OracleReport {
-    let threads = threads.max(1);
-    if threads == 1 || ders.len() < 2 {
-        return run_oracle(label, ders, budget);
-    }
-    let chunk = ders.len().div_ceil(threads);
-    let shards: Vec<OracleReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ders
-            .chunks(chunk)
-            .enumerate()
-            .map(|(shard_idx, slice)| {
-                scope.spawn(move || {
-                    let mut shard = run_oracle(label, slice, budget);
-                    // Rebase example indexes to the batch's input order so
-                    // the merged report matches the serial one.
-                    let base = shard_idx * chunk;
-                    for ex in &mut shard.examples {
-                        if let Some(rest) = ex.strip_prefix("input #") {
-                            if let Some((idx, tail)) = rest.split_once(':') {
-                                if let Ok(local) = idx.parse::<usize>() {
-                                    *ex = format!("input #{}:{tail}", base + local);
-                                }
-                            }
-                        }
-                    }
-                    shard
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("oracle shard panicked")).collect()
-    });
-    let mut merged = OracleReport { label: label.to_owned(), ..OracleReport::default() };
-    for shard in &shards {
-        merged.absorb(shard);
-    }
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,36 +327,6 @@ mod tests {
         assert_eq!(m.unparsed, 3);
         assert_eq!(m.values, 0);
         assert_eq!(m.escaped_panics, 0);
-    }
-
-    #[test]
-    fn oracle_agrees_on_clean_and_garbage_inputs() {
-        let mut ders = sample_ders();
-        ders.push(vec![0xde, 0xad, 0xbe, 0xef]);
-        ders.push(Vec::new());
-        ders.push(vec![0x30, 0x03, 0x01, 0x01, 0xff]);
-        let m = run_oracle("mix", &ders, &ParseBudget::default());
-        assert_eq!(m.inputs, 9);
-        assert_eq!(m.both_accept, 6);
-        assert_eq!(m.both_reject, 3);
-        assert_eq!(m.disagreed, 0, "{:?}", m.examples);
-        assert_eq!(m.escaped_panics, 0);
-        assert!(m.examples.is_empty());
-    }
-
-    #[test]
-    fn sharded_oracle_is_byte_identical_to_serial() {
-        let mut ders = sample_ders();
-        for der in sample_ders() {
-            // Truncations exercise the both-reject comparison.
-            ders.push(der[..der.len() / 2].to_vec());
-        }
-        let budget = ParseBudget::default();
-        let serial = run_oracle("mix", &ders, &budget);
-        for threads in [1usize, 2, 3, 4, 8] {
-            let sharded = run_oracle_sharded("mix", &ders, &budget, threads);
-            assert_eq!(serial, sharded, "threads={threads}");
-        }
     }
 
     #[test]

@@ -126,9 +126,9 @@ pub fn decode_segment(
 /// every certificate parses — but the returned records *borrow* their DER
 /// from `data` instead of copying it into an owned [`Certificate`].
 ///
-/// The parse proof runs through [`CertView`], whose error values are
-/// byte-identical to the owned parser on the same input, so a segment
-/// classifies exactly the same through either decoder. This is the
+/// The parse proof runs through [`CertView`], the same parse the owned
+/// [`Certificate`] decode runs before copying, so a segment classifies
+/// exactly the same through either function. This is the
 /// decoder of `CorpusStore::with_shard_records`, and the full validator
 /// the survey resume path falls back to when a record fails to parse.
 pub fn decode_segment_records<'a>(

@@ -1,13 +1,13 @@
-//! The X.509 v3 certificate model: parse and re-encode.
+//! The owned X.509 v3 certificate model: build and re-encode. Parsing is
+//! the [`CertView`] decode followed by [`CertView::to_owned`].
 
 use crate::extensions::{Extension, ParsedExtension};
 use crate::general_name::GeneralName;
 use crate::name::DistinguishedName;
+use crate::view::CertView;
 use unicert_asn1::oid::known;
 use unicert_asn1::tag::{tags, Tag};
-use unicert_asn1::{
-    BitString, BudgetState, DateTime, Error, Oid, ParseBudget, Reader, Result, TimeKind, Writer,
-};
+use unicert_asn1::{BitString, DateTime, Oid, ParseBudget, Result, TimeKind, Writer};
 
 /// `AlgorithmIdentifier ::= SEQUENCE { algorithm OID, parameters ANY }`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,19 +27,6 @@ impl AlgorithmIdentifier {
     /// The simulated public-key algorithm.
     pub fn sim_public_key() -> AlgorithmIdentifier {
         AlgorithmIdentifier { algorithm: known::sim_public_key(), parameters: Some(vec![0x05, 0x00]) }
-    }
-
-    fn parse(r: &mut Reader<'_>) -> Result<AlgorithmIdentifier> {
-        r.read_sequence(|seq| {
-            let oid = seq.read_expected(tags::OBJECT_IDENTIFIER)?;
-            let algorithm = Oid::from_der_value(oid.value)?;
-            let parameters = if seq.is_empty() {
-                None
-            } else {
-                Some(seq.read_tlv()?.raw.to_vec())
-            };
-            Ok(AlgorithmIdentifier { algorithm, parameters })
-        })
     }
 
     fn write_to(&self, w: &mut Writer) {
@@ -96,17 +83,6 @@ fn kind_for(dt: &DateTime) -> TimeKind {
     }
 }
 
-fn parse_time(r: &mut Reader<'_>) -> Result<(DateTime, TimeKind)> {
-    let tlv = r.read_tlv()?;
-    match tlv.tag {
-        t if t == tags::UTC_TIME => Ok((DateTime::from_utc_time(tlv.value)?, TimeKind::Utc)),
-        t if t == tags::GENERALIZED_TIME => {
-            Ok((DateTime::from_generalized(tlv.value)?, TimeKind::Generalized))
-        }
-        found => Err(Error::TagMismatch { expected: tags::UTC_TIME, found }),
-    }
-}
-
 /// `SubjectPublicKeyInfo`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubjectPublicKeyInfo {
@@ -154,59 +130,6 @@ pub struct Certificate {
 }
 
 impl TbsCertificate {
-    fn parse(r: &mut Reader<'_>) -> Result<TbsCertificate> {
-        r.read_sequence(|tbs| {
-            // version [0] EXPLICIT, DEFAULT v1.
-            let version = match tbs.read_optional_nested(Tag::context_constructed(0), |c| {
-                c.read_expected(tags::INTEGER)
-            })? {
-                Some(i) => unicert_asn1::integer::decode_u64(i.value)?,
-                None => 0,
-            };
-            let serial_tlv = tbs.read_expected(tags::INTEGER)?;
-            let serial = unicert_asn1::integer::unsigned_magnitude(serial_tlv.value)?.to_vec();
-            let signature_algorithm = AlgorithmIdentifier::parse(tbs)?;
-            let issuer = DistinguishedName::parse(tbs)?;
-            let validity = tbs.read_sequence(|v| {
-                let (not_before, not_before_kind) = parse_time(v)?;
-                let (not_after, not_after_kind) = parse_time(v)?;
-                Ok(Validity { not_before, not_after, not_before_kind, not_after_kind })
-            })?;
-            let subject = DistinguishedName::parse(tbs)?;
-            let spki = tbs.read_sequence(|s| {
-                let algorithm = AlgorithmIdentifier::parse(s)?;
-                let bits = s.read_expected(tags::BIT_STRING)?;
-                Ok(SubjectPublicKeyInfo {
-                    algorithm,
-                    public_key: BitString::from_der_value(bits.value)?,
-                })
-            })?;
-            // issuerUniqueID [1], subjectUniqueID [2]: skipped if present.
-            let _ = tbs.read_optional_context(1)?;
-            let _ = tbs.read_optional_context(2)?;
-            // extensions [3] EXPLICIT.
-            let mut extensions = Vec::new();
-            tbs.read_optional_nested(Tag::context_constructed(3), |c| {
-                c.read_sequence(|list| {
-                    while !list.is_empty() {
-                        extensions.push(parse_extension(list)?);
-                    }
-                    Ok(())
-                })
-            })?;
-            Ok(TbsCertificate {
-                version,
-                serial,
-                signature_algorithm,
-                issuer,
-                validity,
-                subject,
-                spki,
-                extensions,
-            })
-        })
-    }
-
     /// Encode to DER.
     pub fn to_der(&self) -> Vec<u8> {
         let mut w = Writer::new();
@@ -280,20 +203,6 @@ fn write_time(w: &mut Writer, dt: &DateTime, kind: TimeKind) {
     }
 }
 
-fn parse_extension(list: &mut Reader<'_>) -> Result<Extension> {
-    list.read_sequence(|e| {
-        let oid_tlv = e.read_expected(tags::OBJECT_IDENTIFIER)?;
-        let oid = Oid::from_der_value(oid_tlv.value)?;
-        let mut critical = false;
-        if e.peek_tag() == Some(tags::BOOLEAN) {
-            let b = e.read_tlv()?;
-            critical = b.value == [0xFF];
-        }
-        let value_tlv = e.read_expected(tags::OCTET_STRING)?;
-        Ok(Extension { oid, critical, value: value_tlv.value.to_vec() })
-    })
-}
-
 fn write_extension(w: &mut Writer, ext: &Extension) {
     w.write_sequence(|w| {
         w.write_oid(&ext.oid);
@@ -307,47 +216,20 @@ fn write_extension(w: &mut Writer, ext: &Extension) {
 impl Certificate {
     /// Parse a complete certificate from DER.
     pub fn parse_der(der: &[u8]) -> Result<Certificate> {
-        Self::parse_with(der, None)
+        CertView::parse_der(der).map(|view| view.to_owned())
     }
 
-    /// Parse a complete certificate from DER with hard resource limits.
+    /// Parse a complete certificate from DER with hard resource limits
+    /// ([`CertView::parse_der_budgeted`] under a fresh state of `budget`).
     ///
-    /// The hostile-input survey path uses this for untrusted bytes: the
-    /// input is admitted against `budget.max_input` first, and every TLV
-    /// element decoded anywhere in the certificate (the outer shell, the
-    /// re-parsed TBS, extensions) is charged against the cumulative
+    /// The input is admitted against `budget.max_input` first, and every
+    /// TLV element decoded anywhere in the certificate (the outer shell,
+    /// the re-read TBS, extensions) is charged against the cumulative
     /// element/byte budgets. Exceeding any limit fails the parse with
     /// [`unicert_asn1::Error::BudgetExceeded`].
     pub fn parse_der_budgeted(der: &[u8], budget: &ParseBudget) -> Result<Certificate> {
-        budget.admit(der)?;
         let state = budget.start();
-        Self::parse_with(der, Some(&state))
-    }
-
-    fn parse_with(der: &[u8], budget: Option<&BudgetState>) -> Result<Certificate> {
-        let mut r = match budget {
-            Some(state) => Reader::with_budget(der, state),
-            None => Reader::new(der),
-        };
-        let cert = r.read_sequence(|c| {
-            let tbs_start_remaining = c.remaining();
-            // Peek the raw TBS bytes: read the TLV, then re-parse it.
-            let tbs_tlv = c.read_expected(tags::SEQUENCE)?;
-            let raw_tbs = tbs_tlv.raw.to_vec();
-            let mut tbs_reader = match budget {
-                Some(state) => Reader::with_budget(tbs_tlv.raw, state),
-                None => Reader::new(tbs_tlv.raw),
-            };
-            let tbs = TbsCertificate::parse(&mut tbs_reader)?;
-            tbs_reader.finish()?;
-            let _ = tbs_start_remaining;
-            let signature_algorithm = AlgorithmIdentifier::parse(c)?;
-            let sig_tlv = c.read_expected(tags::BIT_STRING)?;
-            let signature = BitString::from_der_value(sig_tlv.value)?;
-            Ok(Certificate { tbs, signature_algorithm, signature, raw_tbs, raw: der.to_vec() })
-        })?;
-        r.finish()?;
-        Ok(cert)
+        CertView::parse_der_budgeted(der, &state).map(|view| view.to_owned())
     }
 
     /// Encode to DER (reconstructs from the model, not `raw`).
@@ -367,6 +249,7 @@ mod tests {
     use super::*;
     use crate::builder::CertificateBuilder;
     use crate::sign::SimKey;
+    use unicert_asn1::Error;
 
     fn sample() -> Certificate {
         CertificateBuilder::new()

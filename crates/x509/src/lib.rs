@@ -21,7 +21,6 @@ pub mod name_constraints;
 pub mod pem;
 pub mod sha256;
 pub mod sign;
-pub mod spans;
 pub mod value;
 pub mod view;
 
@@ -34,6 +33,5 @@ pub use extensions::{Extension, ParsedExtension};
 pub use general_name::GeneralName;
 pub use name::{AttributeTypeAndValue, DistinguishedName, Rdn};
 pub use sign::SimKey;
-pub use spans::{CertSpans, ExtensionSpans};
 pub use value::RawValue;
 pub use view::{AttrView, CertView, DnView, ExtensionView};

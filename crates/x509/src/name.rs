@@ -2,9 +2,9 @@
 //! `RelativeDistinguishedName ::= SET OF AttributeTypeAndValue`.
 
 use crate::value::RawValue;
+use crate::view::DnView;
 use unicert_asn1::oid::known;
-use unicert_asn1::tag::Class;
-use unicert_asn1::{Error, Oid, Reader, Result, StringKind, Writer};
+use unicert_asn1::{Oid, Reader, Result, StringKind, Writer};
 
 /// One `AttributeTypeAndValue`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,23 +107,10 @@ impl DistinguishedName {
         self.rdns.is_empty()
     }
 
-    /// Parse from the contents of a `Name` (the outer SEQUENCE TLV).
+    /// Parse a `Name` (the outer SEQUENCE TLV): [`DnView::parse`] followed
+    /// by [`DnView::to_owned`].
     pub fn parse(reader: &mut Reader<'_>) -> Result<DistinguishedName> {
-        let mut rdns = Vec::new();
-        reader.read_sequence(|seq| {
-            while !seq.is_empty() {
-                let rdn = seq.read_set(|set| {
-                    let mut attributes = Vec::new();
-                    while !set.is_empty() {
-                        attributes.push(parse_atv(set)?);
-                    }
-                    Ok(Rdn { attributes })
-                })?;
-                rdns.push(rdn);
-            }
-            Ok(())
-        })?;
-        Ok(DistinguishedName { rdns })
+        DnView::parse(reader).map(|dn| dn.to_owned())
     }
 
     /// Encode as a `Name` SEQUENCE.
@@ -148,21 +135,6 @@ impl DistinguishedName {
         self.write_to(&mut w);
         w.into_bytes()
     }
-}
-
-fn parse_atv(set: &mut Reader<'_>) -> Result<AttributeTypeAndValue> {
-    set.read_sequence(|seq| {
-        let oid_tlv = seq.read_expected(unicert_asn1::tag::tags::OBJECT_IDENTIFIER)?;
-        let oid = Oid::from_der_value(oid_tlv.value)?;
-        let value_tlv = seq.read_tlv()?;
-        if value_tlv.tag.class != Class::Universal {
-            return Err(Error::WrongConstruction);
-        }
-        Ok(AttributeTypeAndValue {
-            oid,
-            value: RawValue { tag_number: value_tlv.tag.number, bytes: value_tlv.value.to_vec() },
-        })
-    })
 }
 
 #[cfg(test)]

@@ -1,27 +1,30 @@
-//! Zero-copy certificate view: the borrowed twin of [`Certificate`].
+//! The certificate decoder: [`CertView`] is the workspace's one DER walk.
 //!
-//! [`CertView`] parses a DER certificate without copying any byte range out
-//! of the input buffer. Where [`Certificate`] owns `Vec<u8>`s (serial,
-//! DN attribute values, extension payloads, the raw TBS, the signature
-//! bits), the view keeps `&'a [u8]` slices into the caller's buffer. The
-//! decode allocates three times per certificate: one flat attribute list
-//! per DN (each attribute records its RDN) and the extension table, so
-//! 3.0 heap allocations per certificate on the 20k/seed-42 corpus. Small
-//! fixed-size values that the survey touches for every certificate —
-//! version, [`Validity`], OIDs (inline up to 22 octets) — are decoded
-//! eagerly, exactly as the owned parser does.
+//! [`CertView::parse_der`] walks a DER certificate once with a [`Reader`]
+//! and keeps every variable-length field as a `&'a [u8]` slice of the
+//! input: serial, DN attribute values, extension payloads, the raw TBS,
+//! the signature bits. The decode allocates three times per certificate:
+//! one flat attribute list per DN (each attribute records its RDN) and the
+//! extension table. Small fixed-size values that the survey touches for
+//! every certificate — version, [`Validity`], OIDs (inline up to 22
+//! octets) — are decoded eagerly; extension payloads stay undecoded until
+//! asked for ([`ExtensionView::parse`]).
 //!
-//! The parse walk is a line-for-line mirror of `Certificate::parse_with`:
-//! the same `Reader` calls in the same order, the same budget charging, the
-//! same validation (BIT STRING padding, INTEGER minimality, DN tag-class
-//! checks). A buffer that fails to parse as a `Certificate` fails to parse
-//! as a `CertView` with the *same* [`Error`], and vice versa — the
-//! equivalence suite in `tests/` holds this across golden, malformed, and
-//! chaos-mutated vectors.
+//! Everything else reads this one walk:
 //!
-//! [`CertView::to_owned`] bridges back to the owned model for the
-//! build/encode/chain side of the workspace, which stays on
-//! [`Certificate`].
+//! * the owned model: [`Certificate::parse_der`] and
+//!   [`DistinguishedName::parse`] are this parse followed by `to_owned`,
+//!   so the two representations accept, reject and charge a
+//!   [`ParseBudget`] identically by construction;
+//! * evidence spans: every slice of a parsed view borrows the input, so a
+//!   field's byte range is where its slice sits in [`CertView::raw`]
+//!   ([`Span::within`]). A DN attribute also records its value's header
+//!   length, which locates the whole value TLV ([`AttrView::tlv_span`]).
+//!
+//! [`Certificate::view`] goes the other way: it lends an owned certificate
+//! as a view without reading any DER, so owned callers lint through the
+//! same API. A lent view's slices borrow the owned tree, not an encoding,
+//! so no span can be found in one.
 
 use crate::extensions::{parse_extension_value, Extension, ParsedExtension};
 use crate::name::{AttributeTypeAndValue, DistinguishedName, Rdn};
@@ -32,7 +35,7 @@ use crate::certificate::{
 use unicert_asn1::oid::known;
 use unicert_asn1::tag::{tags, Class, Tag};
 use unicert_asn1::{
-    BitString, BudgetState, DateTime, Error, Oid, Reader, Result, TimeKind,
+    BitString, BudgetState, DateTime, Error, Oid, Reader, Result, Span, TimeKind,
 };
 #[cfg(doc)]
 use unicert_asn1::ParseBudget;
@@ -67,6 +70,13 @@ impl<'a> AlgorithmIdentifierView<'a> {
             parameters: self.parameters.map(<[u8]>::to_vec),
         }
     }
+
+    fn lend(owned: &'a AlgorithmIdentifier) -> AlgorithmIdentifierView<'a> {
+        AlgorithmIdentifierView {
+            algorithm: owned.algorithm.clone(),
+            parameters: owned.parameters.as_deref(),
+        }
+    }
 }
 
 /// Borrowed `AttributeTypeAndValue`: type OID plus the value's wire tag and
@@ -79,11 +89,25 @@ pub struct AttrView<'a> {
     pub tag_number: u32,
     /// The value's content octets, untouched.
     pub value: &'a [u8],
+    /// Octets of the value's TLV header (tag and length), which sit right
+    /// before `value` in a parsed view; 0 in a lent view.
+    pub header_len: u8,
     /// Index of the RDN (the SET) holding this attribute, in wire order.
     pub rdn: usize,
 }
 
 impl AttrView<'_> {
+    /// Where the value's whole TLV, header included, sits in `raw`; `None`
+    /// when the value does not borrow `raw` (a lent view).
+    pub fn tlv_span(&self, raw: &[u8]) -> Option<Span> {
+        let value = Span::within(raw, self.value)?;
+        let header = usize::from(self.header_len);
+        Some(Span {
+            offset: value.offset.checked_sub(header)?,
+            len: value.len.checked_add(header)?,
+        })
+    }
+
     /// Copy the value into an owned [`RawValue`].
     pub fn raw_value(&self) -> RawValue {
         RawValue { tag_number: self.tag_number, bytes: self.value.to_vec() }
@@ -108,7 +132,9 @@ pub struct DnView<'a> {
 }
 
 impl<'a> DnView<'a> {
-    fn parse(reader: &mut Reader<'a>) -> Result<DnView<'a>> {
+    /// Parse a `Name` (the outer SEQUENCE TLV) from `reader`, charging the
+    /// reader's budget for every element.
+    pub fn parse(reader: &mut Reader<'a>) -> Result<DnView<'a>> {
         let mut dn = DnView::default();
         reader.read_sequence(|seq| {
             while !seq.is_empty() {
@@ -170,6 +196,24 @@ impl<'a> DnView<'a> {
         }
         DistinguishedName { rdns }
     }
+
+    fn lend(owned: &'a DistinguishedName) -> DnView<'a> {
+        let attrs = owned
+            .rdns
+            .iter()
+            .enumerate()
+            .flat_map(|(rdn, r)| {
+                r.attributes.iter().map(move |a| AttrView {
+                    oid: a.oid.clone(),
+                    tag_number: a.value.tag_number,
+                    value: &a.value.bytes,
+                    header_len: 0,
+                    rdn,
+                })
+            })
+            .collect();
+        DnView { attrs, rdn_count: owned.rdns.len() }
+    }
 }
 
 fn parse_atv_view<'a>(set: &mut Reader<'a>, rdn: usize) -> Result<AttrView<'a>> {
@@ -180,7 +224,11 @@ fn parse_atv_view<'a>(set: &mut Reader<'a>, rdn: usize) -> Result<AttrView<'a>> 
         if value_tlv.tag.class != Class::Universal {
             return Err(Error::WrongConstruction);
         }
-        Ok(AttrView { oid, tag_number: value_tlv.tag.number, value: value_tlv.value, rdn })
+        // At most 14 octets: a 5-octet tag and a 9-octet length.
+        let header_len = u8::try_from(value_tlv.raw.len().saturating_sub(value_tlv.value.len()))
+            .map_err(|_| Error::InvalidLength)?;
+        let (tag_number, value) = (value_tlv.tag.number, value_tlv.value);
+        Ok(AttrView { oid, tag_number, value, header_len, rdn })
     })
 }
 
@@ -296,14 +344,12 @@ impl<'a> CertView<'a> {
         Self::parse_with(der, None)
     }
 
-    /// [`CertView::parse_der`] under the same hard resource limits as
-    /// `Certificate::parse_der_budgeted`: input admission plus cumulative
-    /// element/byte budgets over every decoded TLV.
+    /// [`CertView::parse_der`] under hard resource limits: input admission
+    /// plus cumulative element/byte budgets over every decoded TLV.
     ///
     /// The caller supplies the started [`BudgetState`] (via
     /// [`ParseBudget::start`]) and must keep it alive as long as the view:
-    /// the view's borrows thread through the budgeted reader. Charging and
-    /// error order are identical to the owned parser's.
+    /// the view's borrows thread through the budgeted reader.
     pub fn parse_der_budgeted(der: &'a [u8], state: &'a BudgetState) -> Result<CertView<'a>> {
         state.admit(der)?;
         Self::parse_with(der, Some(state))
@@ -356,9 +402,8 @@ impl<'a> CertView<'a> {
         self.extension(&known::ct_poison()).is_some()
     }
 
-    /// Copy everything into the owned model. The result is
-    /// field-for-field identical to `Certificate::parse_der(self.raw)` —
-    /// the equivalence suite asserts this.
+    /// Copy everything into the owned model ([`Certificate::parse_der`] is
+    /// [`CertView::parse_der`] followed by this copy).
     pub fn to_owned(&self) -> Certificate {
         Certificate {
             tbs: TbsCertificate {
@@ -382,8 +427,45 @@ impl<'a> CertView<'a> {
     }
 }
 
-/// The TBS fields, bundled so `parse_with` stays shaped like the owned
-/// parser.
+impl Certificate {
+    /// Lend this certificate as a [`CertView`] without reading any DER:
+    /// the inverse of [`CertView::to_owned`]. Every slice borrows the owned
+    /// tree, so the view equals the parse of [`Certificate::raw`] in every
+    /// field but the DN attributes' `header_len`, and no span can be found
+    /// in it.
+    pub fn view(&self) -> CertView<'_> {
+        let tbs = &self.tbs;
+        CertView {
+            version: tbs.version,
+            serial: &tbs.serial,
+            tbs_signature_algorithm: AlgorithmIdentifierView::lend(&tbs.signature_algorithm),
+            issuer: DnView::lend(&tbs.issuer),
+            validity: tbs.validity.clone(),
+            subject: DnView::lend(&tbs.subject),
+            spki: SpkiView {
+                algorithm: AlgorithmIdentifierView::lend(&tbs.spki.algorithm),
+                public_key_unused_bits: tbs.spki.public_key.unused_bits,
+                public_key: &tbs.spki.public_key.bytes,
+            },
+            extensions: tbs
+                .extensions
+                .iter()
+                .map(|e| ExtensionView {
+                    oid: e.oid.clone(),
+                    critical: e.critical,
+                    value: &e.value,
+                })
+                .collect(),
+            signature_algorithm: AlgorithmIdentifierView::lend(&self.signature_algorithm),
+            signature_unused_bits: self.signature.unused_bits,
+            signature: &self.signature.bytes,
+            raw_tbs: &self.raw_tbs,
+            raw: &self.raw,
+        }
+    }
+}
+
+/// The TBS fields, as the TBS walk returns them.
 struct TbsFields<'a> {
     version: u64,
     serial: &'a [u8],

@@ -140,7 +140,8 @@ fn assert_facts_match_definitions(v: &CachedVal) {
 /// uncached oracle. Each accessor is exercised twice so the second (cached)
 /// read is covered as well as the first (computing) one.
 fn assert_context_matches_direct(cert: &Certificate) {
-    let ctx = LintContext::new(cert);
+    let view = cert.view();
+    let ctx = LintContext::from_view(&view);
     for _ in 0..2 {
         // Parsed-extension name lists.
         assert_eq!(ctx.san(), helpers::san(cert).as_slice(), "san");
@@ -277,7 +278,8 @@ fn assert_registry_runs_identically(cert: &Certificate) {
     let reg = default_registry();
     for opts in [RunOptions::default(), RunOptions::ungated()] {
         let direct = reg.run(cert, opts);
-        let ctx = LintContext::new(cert);
+        let view = cert.view();
+        let ctx = LintContext::from_view(&view);
         // Pre-warm in an order no lint uses; memoization must be inert.
         let _ = ctx.explicit_texts();
         let _ = ctx.dn_attrs(Which::Issuer);
@@ -397,7 +399,8 @@ fn edge_labels() -> Vec<String> {
 /// Every ACE-prefixed label in a certificate's DN values and SAN/IAN
 /// DNSNames.
 fn ace_labels_of(cert: &Certificate, out: &mut BTreeSet<String>) {
-    let ctx = LintContext::new(cert);
+    let view = cert.view();
+    let ctx = LintContext::from_view(&view);
     let dn = [Which::Subject, Which::Issuer].into_iter().flat_map(|w| ctx.dn_attrs(w)).map(|a| &a.val);
     for v in dn.chain(ctx.san_dns()).chain(ctx.ian_dns()) {
         if let Some(text) = v.wire_text() {
@@ -433,7 +436,8 @@ fn single_pass_label_info_matches_the_reference() {
     assert!(labels.len() > corpus_labels, "the golden vectors add ACE labels");
     labels.extend(edge_labels());
     let cert = CertificateBuilder::new().build_signed(&SimKey::from_seed("ctx-eq"));
-    let ctx = LintContext::new(&cert);
+    let view = cert.view();
+    let ctx = LintContext::from_view(&view);
     for label in &labels {
         assert_eq!(ctx.label_info(label), reference_label_info(label), "{label:?}");
         assert_eq!(ctx.label_info(label), reference_label_info(label), "{label:?} cached");
@@ -451,7 +455,8 @@ fn corpus_sweep_context_equivalence() {
     for entry in CorpusGenerator::new(config) {
         assert_context_matches_direct(&entry.cert);
         let direct = reg.run(&entry.cert, opts);
-        let ctx = LintContext::new(&entry.cert);
+        let view = entry.cert.view();
+        let ctx = LintContext::from_view(&view);
         let _ = ctx.san();
         let via_ctx = reg.run_ctx(&ctx, opts);
         assert_eq!(
@@ -494,7 +499,8 @@ fn both_storage_forms_match_direct() {
     assert_context_matches_direct(&cert);
     assert_registry_runs_identically(&cert);
 
-    let ctx = LintContext::new(&cert);
+    let view = cert.view();
+    let ctx = LintContext::from_view(&view);
     let attrs = ctx.dn_attrs(Which::Subject);
     let (hits, misses) = ctx.cache_stats().dn_text();
     let forms: Vec<bool> = attrs.iter().map(|a| stored_as_text(&a.val)).collect();

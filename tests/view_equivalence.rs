@@ -1,41 +1,38 @@
-//! Owned-vs-borrowed equivalence suite: [`CertView`] is a pure
-//! representation change.
+//! Decoder-property suite: [`CertView`] is the workspace's one certificate
+//! decoder, and the owned [`Certificate`] is a copy of what it decoded.
 //!
-//! The zero-copy parse path must be *observationally identical* to the
-//! owned one — every accessor of a parsed view equals the corresponding
-//! [`Certificate`] field, rejected inputs fail with the very same
-//! [`Error`] value, and a lint run over a view-backed context produces
-//! findings byte-identical to the owned context. Three layers of evidence:
+//! `Certificate::parse_der` is the view parse followed by
+//! [`CertView::to_owned`], and [`Certificate::view`] lends an owned
+//! certificate back as a view without reading DER. The suite checks the
+//! properties that let every other layer trust that one decoder:
 //!
-//! - a fixed-seed 10 000-certificate corpus sweep (the survey benchmark's
-//!   generator, latent defects on, precertificates included) checking
-//!   every accessor, the full-tree [`CertView::to_owned`] bridge, and the
-//!   complete default registry on every certificate;
-//! - every committed golden vector (`tests/vectors/webpki` +
-//!   `tests/vectors/bimi`) through the same assertions;
-//! - the committed malformed vectors plus all ten chaos mutation classes
-//!   through the borrowed-vs-owned oracle: same accept/reject decision,
-//!   same error value, same [`Error::class`] on every input;
-//! - hand-built subject names in the RDN shapes no corpus or golden
-//!   certificate has (a two-attribute RDN, an empty SET, an empty DN),
-//!   for the view's flat attribute list;
-//! - the parse budget on every golden vector: both decoders charge every
-//!   TLV they read, and run out of a budget one element short with the
-//!   same error.
-//!
-//! Any divergence here means the zero-copy path changed analysis
-//! semantics — the perf work's one forbidden failure mode.
+//! - **round trip**: on a fixed-seed 10 000-certificate corpus (the survey
+//!   benchmark's generator, latent defects on, precertificates included)
+//!   the view parsed from each certificate's DER copies back into exactly
+//!   the certificate the builder made; every golden vector
+//!   (`tests/vectors/webpki` + `tests/vectors/bimi`) re-encodes from its
+//!   owned parse to its own bytes;
+//! - **lend**: a lent view equals the parsed view in every field but the
+//!   attributes' header lengths, which only an encoding has, and lints to
+//!   the same findings (one corpus certificate in 100, every golden
+//!   vector);
+//! - **RDN shapes**: hand-built subject names in the shapes no corpus or
+//!   golden certificate has (a two-attribute RDN, an empty SET, an empty
+//!   DN) round trip through the view's flat attribute list;
+//! - **records**: the corpus surveyed as generated entries (lent views)
+//!   and as store records (parsed views) gives equal reports;
+//! - **budget**: the parse budget charges every TLV the decoder reads, and
+//!   runs out one element short.
 
 use std::path::PathBuf;
-use unicert::corpus::{BimiConfig, BimiGenerator, CorpusConfig, CorpusGenerator};
+use unicert::corpus::{CorpusConfig, CorpusEntry, CorpusGenerator, RawEntry};
 use unicert::lint::{default_registry, LintContext, RunOptions};
-use unicert::parsers::differential::run_oracle;
+use unicert::survey::{self, SurveyOptions};
 use unicert::x509::{
     AttrView, CertView, Certificate, CertificateBuilder, DistinguishedName, SimKey,
 };
 use unicert_asn1::oid::known;
 use unicert_asn1::{DateTime, Error, Oid, ParseBudget, Reader, StringKind, Writer};
-use unicert_chaos::{MutationClass, Mutator};
 
 fn vectors_dir(profile: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/vectors").join(profile)
@@ -59,122 +56,51 @@ fn vector_ders(profile: &str) -> Vec<(String, Vec<u8>)> {
     out
 }
 
-/// Assert every accessor of the borrowed view against the owned parse of
-/// the same DER, field by field, then the whole tree at once.
-fn assert_view_matches_owned(label: &str, der: &[u8], cert: &Certificate) {
-    let state = ParseBudget::default().start();
-    let view = CertView::parse_der_budgeted(der, &state)
-        .unwrap_or_else(|e| panic!("{label}: owned parses but view rejects ({e:?})"));
+/// The 10k/seed-42 corpus with latent defects and 5% precertificates.
+fn corpus_config() -> CorpusConfig {
+    CorpusConfig { size: 10_000, seed: 42, precert_fraction: 0.05, latent_defects: true }
+}
 
-    // TBS scalars.
-    assert_eq!(view.version, cert.tbs.version, "{label}: version");
-    assert_eq!(view.serial, cert.tbs.serial.as_slice(), "{label}: serial");
-    assert_eq!(
-        view.tbs_signature_algorithm.to_owned(),
-        cert.tbs.signature_algorithm,
-        "{label}: tbs signature algorithm"
-    );
-    assert_eq!(view.validity, cert.tbs.validity, "{label}: validity");
-
-    // Distinguished names: structural equality plus the derived accessors
-    // the lints actually call.
-    for (which, dn_view, dn) in [
-        ("issuer", &view.issuer, &cert.tbs.issuer),
-        ("subject", &view.subject, &cert.tbs.subject),
-    ] {
-        assert_eq!(&dn_view.to_owned(), dn, "{label}: {which} tree");
-        assert_eq!(dn_view.is_empty(), dn.is_empty(), "{label}: {which} is_empty");
-        assert_eq!(dn_view.common_name(), dn.common_name(), "{label}: {which} cn");
-        assert_eq!(dn_view.organization(), dn.organization(), "{label}: {which} org");
-        let view_attrs: Vec<_> = dn_view.attributes().map(|a| a.raw_value()).collect();
-        let owned_attrs: Vec<_> = dn.attributes().map(|a| a.value.clone()).collect();
-        assert_eq!(view_attrs, owned_attrs, "{label}: {which} attributes");
-        for (va, oa) in dn_view.attributes().zip(dn.attributes()) {
-            assert_eq!(va.oid, oa.oid, "{label}: {which} attr oid");
-            assert_eq!(va.display_lossy(), oa.value.display_lossy(), "{label}: {which} attr text");
-            assert_eq!(dn_view.count_of(&va.oid), dn.count_of(&va.oid), "{label}: count_of");
-        }
+/// `view` with every DN attribute's header length cleared, as a lent view
+/// has it.
+fn without_headers(mut view: CertView<'_>) -> CertView<'_> {
+    for attr in view.issuer.attrs.iter_mut().chain(view.subject.attrs.iter_mut()) {
+        attr.header_len = 0;
     }
+    view
+}
 
-    // SPKI.
-    assert_eq!(view.spki.to_owned(), cert.tbs.spki, "{label}: spki");
-    assert_eq!(
-        view.spki.public_key_unused_bits, cert.tbs.spki.public_key.unused_bits,
-        "{label}: spki unused bits"
-    );
-    assert_eq!(
-        view.spki.public_key,
-        cert.tbs.spki.public_key.bytes.as_slice(),
-        "{label}: spki key bytes"
-    );
+/// The view lent from `cert` equals the view parsed from its DER, apart
+/// from the header lengths only an encoding has, and both lint to the same
+/// findings.
+fn assert_lend_matches_parse(label: &str, cert: &Certificate) {
+    let parsed = CertView::parse_der(&cert.raw)
+        .unwrap_or_else(|e| panic!("{label}: the certificate's DER does not parse ({e:?})"));
+    let lent = cert.view();
+    let attrs = |v: &CertView<'_>| -> Vec<u8> {
+        v.issuer.attributes().chain(v.subject.attributes()).map(|a| a.header_len).collect()
+    };
+    assert!(attrs(&parsed).iter().all(|&h| h >= 2), "{label}: parsed header lengths");
+    assert!(attrs(&lent).iter().all(|&h| h == 0), "{label}: lent header lengths");
+    assert_eq!(without_headers(parsed.clone()), lent, "{label}: lent view");
 
-    // Extensions: frame fields, lazy parse results, and lookup.
-    assert_eq!(view.extensions.len(), cert.tbs.extensions.len(), "{label}: ext count");
-    for (ve, oe) in view.extensions.iter().zip(&cert.tbs.extensions) {
-        assert_eq!(ve.oid, oe.oid, "{label}: ext oid");
-        assert_eq!(ve.critical, oe.critical, "{label}: ext critical");
-        assert_eq!(ve.value, oe.value.as_slice(), "{label}: ext value");
-        assert_eq!(ve.parse().ok(), oe.parse().ok(), "{label}: ext parse");
-        assert_eq!(
-            view.extension(&ve.oid).map(|e| e.value),
-            cert.tbs.extension(&ve.oid).map(|e| e.value.as_slice()),
-            "{label}: ext lookup"
-        );
-    }
-    assert_eq!(
-        view.is_precertificate(),
-        cert.tbs.is_precertificate(),
-        "{label}: precert poison"
-    );
-
-    // Signature and raw spans.
-    assert_eq!(
-        view.signature_algorithm.to_owned(),
-        cert.signature_algorithm,
-        "{label}: signature algorithm"
-    );
-    assert_eq!(
-        view.signature_unused_bits, cert.signature.unused_bits,
-        "{label}: signature unused bits"
-    );
-    assert_eq!(view.signature, cert.signature.bytes.as_slice(), "{label}: signature bytes");
-    assert_eq!(view.raw_tbs, cert.raw_tbs.as_slice(), "{label}: raw_tbs");
-    assert_eq!(view.raw, cert.raw.as_slice(), "{label}: raw");
-
-    // The whole tree at once, through the bridge the survey's lazy
-    // materialization uses.
-    assert_eq!(&view.to_owned(), cert, "{label}: to_owned tree");
-
-    // And the end-to-end consumer: a full default-registry run over a
-    // view-backed context is byte-identical to the owned context.
     let registry = default_registry();
-    let owned_findings = registry.run_ctx(&LintContext::new(cert), RunOptions::default());
-    let view_findings =
-        registry.run_ctx(&LintContext::from_view(&view), RunOptions::default());
-    assert_eq!(view_findings.findings, owned_findings.findings, "{label}: lint findings");
+    let from_parse = registry.run_ctx(&LintContext::from_view(&parsed), RunOptions::default());
+    let from_lend = registry.run_ctx(&LintContext::from_view(&lent), RunOptions::default());
+    assert_eq!(from_lend.findings, from_parse.findings, "{label}: lint findings");
 }
 
 #[test]
 fn seeded_10k_corpus_views_match_owned() {
-    let corpus = CorpusGenerator::new(CorpusConfig {
-        size: 10_000,
-        seed: 42,
-        precert_fraction: 0.05,
-        latent_defects: true,
-    });
     let mut checked = 0usize;
-    for (i, entry) in corpus.enumerate() {
-        // Full accessor + registry sweep on a deterministic sample (the
-        // registry run dominates); every certificate still gets the parse
-        // and full-tree comparison.
-        let der = &entry.cert.raw;
-        let cert = Certificate::parse_der(der).expect("generated cert reparses");
+    for (i, entry) in CorpusGenerator::new(corpus_config()).enumerate() {
+        let state = ParseBudget::default().start();
+        let view = CertView::parse_der_budgeted(&entry.cert.raw, &state)
+            .unwrap_or_else(|e| panic!("corpus[{i}]: generated certificate rejected ({e:?})"));
+        assert_eq!(view.to_owned(), entry.cert, "corpus[{i}]: round trip");
+        // The lint runs dominate: lend on a deterministic sample.
         if i % 100 == 0 {
-            assert_view_matches_owned(&format!("corpus[{i}]"), der, &cert);
-        } else {
-            let state = ParseBudget::default().start();
-            let view = CertView::parse_der_budgeted(der, &state).expect("view parses");
-            assert_eq!(view.to_owned(), cert, "corpus[{i}]: to_owned tree");
+            assert_lend_matches_parse(&format!("corpus[{i}]"), &entry.cert);
         }
         checked += 1;
     }
@@ -182,88 +108,45 @@ fn seeded_10k_corpus_views_match_owned() {
     assert!(checked >= 10_000, "only {checked} certificates checked");
 }
 
-#[test]
-fn golden_webpki_vectors_views_match_owned() {
-    for (name, der) in vector_ders("webpki") {
+/// Every golden vector of `profile` re-encodes from its owned parse to its
+/// own bytes, and lends a view equal to its parse.
+fn assert_golden_vectors_round_trip(profile: &str) {
+    for (name, der) in vector_ders(profile) {
         let cert = Certificate::parse_der(&der)
             .unwrap_or_else(|e| panic!("{name}: golden vector does not parse ({e:?})"));
-        assert_view_matches_owned(&name, &der, &cert);
+        assert_eq!(cert.raw, der, "{name}: raw");
+        assert_eq!(cert.to_der(), der, "{name}: re-encodes to its input");
+        assert_lend_matches_parse(&name, &cert);
     }
+}
+
+#[test]
+fn golden_webpki_vectors_views_match_owned() {
+    assert_golden_vectors_round_trip("webpki");
 }
 
 #[test]
 fn golden_bimi_vectors_views_match_owned() {
-    for (name, der) in vector_ders("bimi") {
-        let cert = Certificate::parse_der(&der)
-            .unwrap_or_else(|e| panic!("{name}: golden vector does not parse ({e:?})"));
-        assert_view_matches_owned(&name, &der, &cert);
-    }
+    assert_golden_vectors_round_trip("bimi");
 }
 
-/// Both parsers must reject a malformed input with the *same* error value
-/// (and therefore the same [`Error::class`]).
+/// The survey reads a generated entry through a view lent from its tree
+/// and a store record through a view parsed from its DER: over the same
+/// corpus, the two reports are equal.
 #[test]
-fn malformed_vectors_reject_identically() {
-    let budget = ParseBudget::default();
-    let mut rejected = 0usize;
-    for (name, der) in vector_ders("malformed") {
-        let owned = Certificate::parse_der_budgeted(&der, &budget);
-        let state = budget.start();
-        let viewed = CertView::parse_der_budgeted(&der, &state);
-        match (&owned, &viewed) {
-            (Ok(_), Ok(_)) => {}
-            (Err(eo), Err(ev)) => {
-                assert_eq!(eo, ev, "{name}: error values differ");
-                assert_eq!(
-                    Error::class(eo),
-                    Error::class(ev),
-                    "{name}: error classes differ"
-                );
-                rejected += 1;
-            }
-            _ => panic!(
-                "{name}: parsers disagree on acceptance (owned {:?}, view {:?})",
-                owned.as_ref().map(|_| ()),
-                viewed.as_ref().map(|_| ())
-            ),
-        }
-    }
-    assert!(rejected > 0, "malformed vectors exercised no rejection at all");
-}
-
-/// All ten chaos mutation classes over a mixed webpki+bimi seed corpus,
-/// through the harness's borrowed-vs-owned oracle: zero disagreements,
-/// zero escaped panics.
-#[test]
-fn chaos_mutants_agree_across_parsers() {
-    let seed = 42u64;
-    let mut base: Vec<Vec<u8>> = CorpusGenerator::new(CorpusConfig {
-        size: 150,
-        seed,
-        precert_fraction: 0.0,
-        latent_defects: true,
-    })
-    .map(|e| e.cert.raw)
-    .collect();
-    base.extend(
-        BimiGenerator::new(BimiConfig { size: 40, seed, ..BimiConfig::default() })
-            .map(|e| e.cert.raw),
-    );
-    let budget = ParseBudget::default();
-    for (class_idx, class) in MutationClass::ALL.into_iter().enumerate() {
-        let mut mutator = Mutator::new(seed.wrapping_add(class_idx as u64));
-        let hostile: Vec<Vec<u8>> = base.iter().map(|der| mutator.mutate(der, class)).collect();
-        let report = run_oracle(class.label(), &hostile, &budget);
-        assert_eq!(report.escaped_panics, 0, "{}: escaped panics", class.label());
-        assert_eq!(
-            report.disagreed,
-            0,
-            "{}: parsers disagreed: {:?}",
-            class.label(),
-            report.examples
-        );
-        assert_eq!(report.inputs, base.len(), "{}: inputs", class.label());
-    }
+fn corpus_entries_and_records_survey_identically() {
+    let corpus: Vec<CorpusEntry> = CorpusGenerator::new(corpus_config()).collect();
+    let records: Vec<RawEntry<'_>> =
+        corpus.iter().map(|e| RawEntry { der: &e.cert.raw, meta: e.meta.clone() }).collect();
+    let opts = SurveyOptions {
+        lint: RunOptions { threads: Some(1), ..RunOptions::default() },
+        ..SurveyOptions::default()
+    };
+    let lent = survey::survey(opts.registry(), &corpus, opts, 0);
+    let parsed = survey::survey(opts.registry(), &records, opts, 0);
+    assert!(lent.precerts_filtered > 0, "the corpus carries precertificates");
+    assert!(lent.quarantine.is_empty(), "no generated certificate is quarantined");
+    assert_eq!(lent, parsed, "entries and records diverged on the same DER");
 }
 
 /// A `Name` written with the asn1 [`Writer`]: one SET per inner slice,
@@ -304,8 +187,9 @@ fn cert_with_subject(name: &[u8]) -> Vec<u8> {
 }
 
 /// The flat `DnView` (one attribute list, each attribute tagged with its
-/// RDN) regroups into the owned tree and answers every DN accessor like
-/// the owned `DistinguishedName`, on RDN shapes the corpus never makes.
+/// RDN) regroups into an owned tree that re-encodes to the same Name, and
+/// answers every DN accessor like the owned `DistinguishedName`, on RDN
+/// shapes the corpus never makes.
 #[test]
 fn flat_dn_view_matches_owned_on_hand_built_rdn_shapes() {
     let (c, cn, o, ou) = (
@@ -338,13 +222,14 @@ fn flat_dn_view_matches_owned_on_hand_built_rdn_shapes() {
     ];
     for (label, name, (rdns, attrs)) in shapes {
         let der = cert_with_subject(&name);
-        let cert = Certificate::parse_der(&der).expect("owned parse");
         let view = CertView::parse_der(&der).expect("view parse");
+        let cert = view.to_owned();
         let (dv, dn) = (&view.subject, &cert.tbs.subject);
 
         assert_eq!((dn.rdns.len(), dn.attributes().count()), (rdns, attrs), "{label}: shape");
-        assert_eq!(dv.rdn_count, dn.rdns.len(), "{label}: RDN count");
-        assert_eq!(&dv.to_owned(), dn, "{label}: to_owned regroups");
+        assert_eq!(dv.rdn_count, rdns, "{label}: RDN count");
+        assert_eq!(dn.to_der(), name, "{label}: the owned Name re-encodes to its bytes");
+        assert_eq!(cert.to_der(), der, "{label}: the certificate re-encodes to its bytes");
         assert_eq!(dv.is_empty(), dn.is_empty(), "{label}: is_empty");
         assert_eq!(dv.is_empty(), rdns == 0, "{label}: an empty SET is an RDN");
         let view_order: Vec<_> = dv.attributes().map(|a| (a.oid.clone(), a.raw_value())).collect();
@@ -359,14 +244,14 @@ fn flat_dn_view_matches_owned_on_hand_built_rdn_shapes() {
                 "{label}: first_value {oid:?}"
             );
         }
-        assert_view_matches_owned(label, &der, &cert);
+        assert_lend_matches_parse(label, &cert);
     }
 }
 
 /// TLV elements in `der`, descending into constructed elements only: the
-/// elements the certificate parsers decode, since they read extension
+/// elements the certificate decoder reads, since it takes extension
 /// payloads, key and signature bits, attribute values and algorithm
-/// parameters whole. Counted independently of either parser.
+/// parameters whole. Counted independently of the decoder.
 fn recursive_tlv_count(der: &[u8]) -> u64 {
     let mut r = Reader::new(der);
     let mut count = 0;
@@ -380,9 +265,9 @@ fn recursive_tlv_count(der: &[u8]) -> u64 {
     count
 }
 
-/// The parse budget charges every TLV either decoder reads — the version
-/// and the whole extension list included — and both decoders run out of
-/// it at the same element with the same error.
+/// The parse budget charges every TLV the decoder reads — the version and
+/// the whole extension list included — and a budget one element short
+/// fails the parse with the element error.
 #[test]
 fn parse_budget_charges_every_tlv_on_golden_vectors() {
     for profile in ["webpki", "bimi"] {
