@@ -74,7 +74,6 @@ impl Default for AnalysisConfig {
         // Shims are leaves; proptest builds on the rand shim.
         allowed.insert("rand", vec![]);
         allowed.insert("proptest", vec!["rand"]);
-        allowed.insert("criterion", vec![]);
 
         AnalysisConfig {
             determinism_exempt_crates: vec!["telemetry", "analysis"],

@@ -589,7 +589,7 @@ fn collect_type_defs(tokens: &[Token]) -> Vec<String> {
 }
 
 /// Shim crates referenced by bare name rather than an `unicert_` prefix.
-const EXTERNAL_CRATES: [&str; 3] = ["rand", "proptest", "criterion"];
+const EXTERNAL_CRATES: [&str; 2] = ["rand", "proptest"];
 
 /// Resolve crate references from non-test code lines: `unicert_x::` paths,
 /// `use unicert_x...` items, and the shim crates. One `UseRef` per

@@ -2,61 +2,17 @@
 //! (RFC 5890/5891/5892).
 
 use crate::punycode;
-use std::sync::OnceLock;
-use unicert_unicode::index::ChunkIndex;
 use unicert_unicode::nfc;
-use unicert_unicode::tables::idna::{IDNA_CONTEXTJ, IDNA_CONTEXTO, IDNA_PVALID};
+use unicert_unicode::CharProps;
+pub use unicert_unicode::IdnaClass;
 
 /// The ACE prefix of RFC 5890.
 pub const ACE_PREFIX: &str = "xn--";
 
-/// RFC 5892 derived property classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IdnaClass {
-    /// Usable in any IDN label.
-    Pvalid,
-    /// Joiner characters (ZWJ/ZWNJ); valid only in specific contexts.
-    ContextJ,
-    /// Other contextual characters (middle dot, …).
-    ContextO,
-    /// Never permitted.
-    Disallowed,
-}
-
-fn in_ranges(cp: u32, table: &[(u32, u32)]) -> bool {
-    table
-        .binary_search_by(|&(lo, hi)| {
-            if cp < lo {
-                std::cmp::Ordering::Greater
-            } else if cp > hi {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        })
-        .is_ok()
-}
-
-/// Chunk index over the (large) PVALID range table: near-constant lookups on
-/// the per-character hot path. The CONTEXTJ/CONTEXTO tables are a handful of
-/// rows each and stay binary-searched.
-fn pvalid_index() -> &'static ChunkIndex {
-    static INDEX: OnceLock<ChunkIndex> = OnceLock::new();
-    INDEX.get_or_init(|| ChunkIndex::build(IDNA_PVALID, |&(lo, hi)| (lo, hi)))
-}
-
-/// The RFC 5892 derived property of `ch` (exact IDNA2008 tables).
+/// The RFC 5892 derived property of `ch` at UCD 14.0, from the generated
+/// property table.
 pub fn idna_class(ch: char) -> IdnaClass {
-    let cp = ch as u32;
-    if pvalid_index().find(IDNA_PVALID, cp, |&(lo, hi)| (lo, hi)).is_some() {
-        IdnaClass::Pvalid
-    } else if in_ranges(cp, IDNA_CONTEXTJ) {
-        IdnaClass::ContextJ
-    } else if in_ranges(cp, IDNA_CONTEXTO) {
-        IdnaClass::ContextO
-    } else {
-        IdnaClass::Disallowed
-    }
+    CharProps::of(ch).idna
 }
 
 /// Why a label failed validation. Mirrors the failure classes of the

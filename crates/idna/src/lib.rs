@@ -9,7 +9,8 @@
 //! * [`punycode`]: the bootstring codec;
 //! * [`label`]: A-label ⇄ U-label conversion and per-label validation,
 //!   including the RFC 5892 derived-property check (PVALID / CONTEXTJ /
-//!   CONTEXTO / DISALLOWED) backed by the exact IDNA2008 tables;
+//!   CONTEXTO / DISALLOWED) read from the UCD 14.0 property table of
+//!   `unicert_unicode::props`;
 //! * [`domain`]: whole-domain handling (dots, wildcards, length limits,
 //!   LDH syntax from RFC 1034/5890);
 //! * [`bidi`]: the RFC 5893 Bidi rule (simplified; see its module docs).

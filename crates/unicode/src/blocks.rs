@@ -6,9 +6,7 @@
 //! blocks.
 
 use crate::category::GeneralCategory;
-use crate::index::ChunkIndex;
 use crate::tables::blocks::BLOCKS;
-use std::sync::OnceLock;
 
 /// One Unicode block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,16 +29,14 @@ pub fn block_count() -> usize {
     BLOCKS.len()
 }
 
-fn block_index() -> &'static ChunkIndex {
-    static INDEX: OnceLock<ChunkIndex> = OnceLock::new();
-    INDEX.get_or_init(|| ChunkIndex::build(BLOCKS, |&(lo, hi, _)| (lo, hi)))
-}
-
-/// The block containing `ch`, if any.
+/// The block containing `ch`, if any: a binary search of the sorted table.
 pub fn block_of(ch: char) -> Option<Block> {
-    block_index()
-        .find(BLOCKS, ch as u32, |&(lo, hi, _)| (lo, hi))
-        .map(|&(lo, hi, name)| Block { start: lo, end: hi, name })
+    let cp = ch as u32;
+    let i = BLOCKS.partition_point(|&(_, hi, _)| hi < cp);
+    BLOCKS
+        .get(i)
+        .filter(|&&(lo, _, _)| lo <= cp)
+        .map(|&(start, end, name)| Block { start, end, name })
 }
 
 impl Block {

@@ -1,17 +1,11 @@
-//! Unicode general categories, backed by the generated range table.
+//! Unicode general categories, read from the generated property table.
 
-use crate::index::ChunkIndex;
-use crate::tables::categories::GENERAL_CATEGORY;
-use std::sync::OnceLock;
-
-fn category_index() -> &'static ChunkIndex {
-    static INDEX: OnceLock<ChunkIndex> = OnceLock::new();
-    INDEX.get_or_init(|| ChunkIndex::build(GENERAL_CATEGORY, |&(lo, hi, _)| (lo, hi)))
-}
+use crate::props::CharProps;
 
 /// The 30 Unicode general categories.
 ///
-/// The discriminants match the indices emitted by `tools/gen_tables.py`.
+/// The discriminants match the category order of `tools/gen_tables.py`,
+/// whose category digest hashes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 #[allow(missing_docs)] // names follow UAX #44 exactly
@@ -49,26 +43,9 @@ pub enum GeneralCategory {
 }
 
 impl GeneralCategory {
-    fn from_index(i: u8) -> GeneralCategory {
-        use GeneralCategory::*;
-        const ALL: [GeneralCategory; 30] = [
-            UppercaseLetter, LowercaseLetter, TitlecaseLetter, ModifierLetter, OtherLetter,
-            NonspacingMark, SpacingMark, EnclosingMark,
-            DecimalNumber, LetterNumber, OtherNumber,
-            ConnectorPunctuation, DashPunctuation, OpenPunctuation, ClosePunctuation,
-            InitialPunctuation, FinalPunctuation, OtherPunctuation,
-            MathSymbol, CurrencySymbol, ModifierSymbol, OtherSymbol,
-            SpaceSeparator, LineSeparator, ParagraphSeparator,
-            Control, Format, Surrogate, PrivateUse, Unassigned,
-        ];
-        ALL.get(i as usize).copied().unwrap_or(Unassigned)
-    }
-
     /// The category of `ch`.
     pub fn of(ch: char) -> GeneralCategory {
-        category_index()
-            .find(GENERAL_CATEGORY, ch as u32, |&(lo, hi, _)| (lo, hi))
-            .map_or(GeneralCategory::Unassigned, |e| GeneralCategory::from_index(e.2))
+        CharProps::of(ch).category
     }
 
     /// Letter categories (L*).
@@ -117,23 +94,6 @@ mod tests {
         assert_eq!(GeneralCategory::of('€'), CurrencySymbol);
         assert_eq!(GeneralCategory::of('\u{E000}'), PrivateUse);
         assert_eq!(GeneralCategory::of('\u{0378}'), Unassigned);
-    }
-
-    #[test]
-    fn indexed_lookup_matches_linear_scan_at_every_boundary() {
-        let linear = |cp: u32| {
-            GENERAL_CATEGORY
-                .iter()
-                .find(|&&(lo, hi, _)| (lo..=hi).contains(&cp))
-                .map_or(Unassigned, |e| GeneralCategory::from_index(e.2))
-        };
-        for &(lo, hi, _) in GENERAL_CATEGORY {
-            for cp in [lo.saturating_sub(1), lo, hi, hi.saturating_add(1)] {
-                if let Some(ch) = char::from_u32(cp) {
-                    assert_eq!(GeneralCategory::of(ch), linear(cp), "cp={cp:#x}");
-                }
-            }
-        }
     }
 
     #[test]

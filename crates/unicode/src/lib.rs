@@ -8,8 +8,9 @@
 //!   (truncation, replacement, escaping);
 //! * the **Unicode block** table used to sample test characters, one per
 //!   block, exactly as the paper's generator does — in [`blocks`];
-//! * **general categories** (for printability and IDNA classification) — in
-//!   [`category`];
+//! * **per-code-point properties** (general category, canonical combining
+//!   class, NFC quick check, IDNA2008 class) from one generated two-stage
+//!   table — in [`props`], with the category enum in [`category`];
 //! * **NFC normalization** (RFC 5280 requires NFC for UTF8String values;
 //!   T2 "Bad Normalization" lints depend on it) — in [`nfc`];
 //! * character **classification** helpers (C0/C1 controls, bidi and layout
@@ -19,7 +20,8 @@
 //!   in [`confusables`].
 //!
 //! Data tables are generated from the Unicode Character Database 14.0 by
-//! `tools/gen_tables.py` (see DESIGN.md §3 for the substitution note).
+//! `tools/gen_tables.py`, which asserts that version for every source (see
+//! DESIGN.md §3 for the substitution note).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,11 +31,12 @@ pub mod category;
 pub mod classify;
 pub mod confusables;
 pub mod encodings;
-pub mod index;
 pub mod nfc;
+pub mod props;
 #[allow(missing_docs)]
 pub mod tables;
 
 pub use blocks::{block_of, Block};
 pub use category::GeneralCategory;
 pub use encodings::{DecodeError, DecodingMethod, HandlingMode};
+pub use props::{CharProps, IdnaClass, NfcQuickCheck};

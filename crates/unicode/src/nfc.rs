@@ -7,9 +7,8 @@
 //! Hangul), canonical ordering by combining class, then canonical
 //! composition (generated primary-composite table + algorithmic Hangul).
 
-use crate::index::ChunkIndex;
-use crate::tables::normalization::{CANONICAL_DECOMPOSITION, COMBINING_CLASS, COMPOSITION};
-use std::sync::OnceLock;
+use crate::props::{CharProps, NfcQuickCheck};
+use crate::tables::normalization::{CANONICAL_DECOMPOSITION, COMPOSITION};
 
 const S_BASE: u32 = 0xAC00;
 const L_BASE: u32 = 0x1100;
@@ -21,22 +20,9 @@ const T_COUNT: u32 = 28;
 const N_COUNT: u32 = V_COUNT * T_COUNT;
 const S_COUNT: u32 = L_COUNT * N_COUNT;
 
-fn cc_index() -> &'static ChunkIndex {
-    static INDEX: OnceLock<ChunkIndex> = OnceLock::new();
-    INDEX.get_or_init(|| ChunkIndex::build(COMBINING_CLASS, |&(cp, _)| (cp, cp)))
-}
-
 /// Canonical combining class of `ch` (0 for starters).
 pub fn combining_class(ch: char) -> u8 {
-    let cp = ch as u32;
-    // The first combining mark is U+0300; everything below (all of ASCII
-    // and Latin-1) is a starter. Skips the table probe on the hot path.
-    if cp < 0x300 {
-        return 0;
-    }
-    cc_index()
-        .find(COMBINING_CLASS, cp, |&(c, _)| (c, c))
-        .map_or(0, |&(_, cc)| cc)
+    CharProps::of(ch).combining_class
 }
 
 fn table_decomposition(cp: u32) -> Option<&'static [u32]> {
@@ -159,61 +145,6 @@ pub fn nfc(s: &str) -> String {
     out.into_iter().collect()
 }
 
-/// Quick-check flag: the character never appears in NFC output (it has a
-/// canonical decomposition that does not recompose to it — singletons,
-/// composition exclusions, and mark-sequence decompositions).
-const QC_NO: u8 = 1;
-/// Quick-check flag: the character may compose with a preceding character
-/// (it appears as the second element of a canonical composition, or is a
-/// Hangul V/T jamo) — its presence forces the full normalization check.
-const QC_MAYBE: u8 = 2;
-
-/// Merged per-code-point normalization facts: `(cp, combining_class, flags)`,
-/// sorted by `cp`, with a chunk index for near-constant lookups.
-type QcTable = (Vec<(u32, u8, u8)>, ChunkIndex);
-
-/// Derived once from the generated tables, so the quick check below is exact
-/// by construction rather than a hand-maintained NFC_QC property list.
-fn qc_table() -> &'static QcTable {
-    static TABLE: OnceLock<QcTable> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut facts: std::collections::BTreeMap<u32, (u8, u8)> = std::collections::BTreeMap::new();
-        for &(cp, cc) in COMBINING_CLASS {
-            facts.entry(cp).or_insert((0, 0)).0 = cc;
-        }
-        // QC_NO: decomposable characters whose NFC is not themselves. (This
-        // calls `nfc`, which only uses the raw tables — no reentrancy.)
-        for &(cp, _) in CANONICAL_DECOMPOSITION {
-            let unstable = char::from_u32(cp).is_some_and(|c| {
-                let s = c.to_string();
-                nfc(&s) != s
-            });
-            if unstable {
-                facts.entry(cp).or_insert((0, 0)).1 |= QC_NO;
-            }
-        }
-        // QC_MAYBE: possible second elements of a canonical composition.
-        for &(_, second, _) in COMPOSITION {
-            facts.entry(second).or_insert((0, 0)).1 |= QC_MAYBE;
-        }
-        for cp in V_BASE..V_BASE + V_COUNT {
-            facts.entry(cp).or_insert((0, 0)).1 |= QC_MAYBE;
-        }
-        for cp in T_BASE + 1..T_BASE + T_COUNT {
-            facts.entry(cp).or_insert((0, 0)).1 |= QC_MAYBE;
-        }
-        let rows: Vec<(u32, u8, u8)> = facts.into_iter().map(|(cp, (cc, f))| (cp, cc, f)).collect();
-        let index = ChunkIndex::build(&rows, |&(cp, _, _)| (cp, cp));
-        (rows, index)
-    })
-}
-
-/// `(combining_class, quick_check_flags)` of `cp` — one indexed probe.
-fn qc_lookup(cp: u32) -> (u8, u8) {
-    let (rows, index) = qc_table();
-    index.find(rows, cp, |&(c, _, _)| (c, c)).map_or((0, 0), |&(_, cc, f)| (cc, f))
-}
-
 /// Is `s` already in NFC? (The T2 lint predicate.)
 ///
 /// Uses a UAX #15-style quick check: a definitive answer per character in
@@ -227,16 +158,17 @@ pub fn is_nfc(s: &str) -> bool {
     }
     let mut prev_cc = 0u8;
     for c in s.chars() {
-        let (cc, flags) = qc_lookup(c as u32);
-        if flags & QC_NO != 0 {
+        let props = CharProps::of(c);
+        if props.nfc_quick_check == NfcQuickCheck::No {
             return false;
         }
         // Combining marks out of canonical order never survive NFC (its
         // output is canonically ordered), so this is definitive too.
+        let cc = props.combining_class;
         if cc != 0 && prev_cc > cc {
             return false;
         }
-        if flags & QC_MAYBE != 0 {
+        if props.nfc_quick_check == NfcQuickCheck::Maybe {
             return nfc(s) == s;
         }
         prev_cc = cc;
@@ -309,7 +241,9 @@ mod tests {
         let mut probe_chars: Vec<char> = Vec::new();
         probe_chars.extend(CANONICAL_DECOMPOSITION.iter().filter_map(|&(cp, _)| char::from_u32(cp)));
         probe_chars.extend(COMPOSITION.iter().filter_map(|&(_, second, _)| char::from_u32(second)));
-        probe_chars.extend(COMBINING_CLASS.iter().filter_map(|&(cp, _)| char::from_u32(cp)));
+        probe_chars.extend(
+            (0..=0x10_FFFF).filter_map(char::from_u32).filter(|&c| combining_class(c) != 0),
+        );
         probe_chars.extend(['a', 'ü', '中', '\u{1112}', '\u{1161}', '\u{11AB}', '\u{D55C}']);
         for (i, &c) in probe_chars.iter().enumerate() {
             let solo = c.to_string();

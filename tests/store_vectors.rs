@@ -38,11 +38,21 @@ fn survey(store: &CorpusStore, ckpts: &Path) -> unicert_store::ResumeReport {
     resume::survey_incremental(store, ckpts, opts).expect("survey vector store")
 }
 
-fn scratch(name: &str) -> PathBuf {
+/// A scratch checkpoint directory, deleted when the guard drops, so a test
+/// leaves nothing in the temp dir whether it passes or fails.
+struct Scratch(PathBuf);
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+fn scratch(name: &str) -> Scratch {
     let dir =
         std::env::temp_dir().join(format!("unicert-store-vectors-{}-{name}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    dir
+    Scratch(dir)
 }
 
 /// The vector set itself is pinned: exactly these five behaviors exist.
@@ -71,7 +81,8 @@ fn vectors_classify_and_survey_as_recorded() {
     // The clean control's report is the reference the manifest-tamper
     // vector must still reproduce after its rebuild.
     let clean = CorpusStore::open(&root.join("clean")).expect("open clean vector");
-    let clean_run = survey(&clean, &scratch("clean-ref"));
+    let clean_ckpts = scratch("clean-ref");
+    let clean_run = survey(&clean, &clean_ckpts.0);
     assert_eq!(clean_run.corrupt, 0);
     assert_eq!(clean_run.report.total, 12);
 
@@ -81,7 +92,8 @@ fn vectors_classify_and_survey_as_recorded() {
         let health = store.verify();
         assert_eq!(health.len(), 3, "vector {dir}: every store has 3 shards");
         let corrupt: Vec<_> = health.iter().filter(|h| h.corruption.is_some()).collect();
-        let run = survey(&store, &scratch(&dir));
+        let ckpts = scratch(&dir);
+        let run = survey(&store, &ckpts.0);
         match expected.as_str() {
             "ok" => {
                 assert!(!store.manifest_rebuilt(), "vector {dir}");
@@ -121,7 +133,8 @@ fn vectors_classify_and_survey_as_recorded() {
                     q[0].detail
                 );
                 // Determinism of the degraded report.
-                let again = survey(&store, &scratch(&format!("{dir}-again")));
+                let again_ckpts = scratch(&format!("{dir}-again"));
+                let again = survey(&store, &again_ckpts.0);
                 assert_eq!(run.report, again.report, "vector {dir} not deterministic");
             }
         }

@@ -22,17 +22,26 @@
 //! - **records**: the corpus surveyed as generated entries (lent views)
 //!   and as store records (parsed views) gives equal reports;
 //! - **budget**: the parse budget charges every TLV the decoder reads, and
-//!   runs out one element short.
+//!   runs out one element short;
+//! - **extension values**: decoded outside the budget, they are bounded by
+//!   the input admission and `MAX_DEPTH`. Two hostile vectors built here
+//!   (the longest SAN that fits under the admission limit, a policy
+//!   qualifier nested to `MAX_DEPTH`) survey without a panic and give the
+//!   same report at one and two threads.
 
 use std::path::PathBuf;
 use unicert::corpus::{CorpusConfig, CorpusEntry, CorpusGenerator, RawEntry};
 use unicert::lint::{default_registry, LintContext, RunOptions};
 use unicert::survey::{self, SurveyOptions};
+use unicert::x509::extensions::parse_extension_value;
 use unicert::x509::{
-    AttrView, CertView, Certificate, CertificateBuilder, DistinguishedName, SimKey,
+    AttrView, CertView, Certificate, CertificateBuilder, DistinguishedName, Extension,
+    ParsedExtension, SimKey,
 };
 use unicert_asn1::oid::known;
-use unicert_asn1::{DateTime, Error, Oid, ParseBudget, Reader, StringKind, Writer};
+use unicert_asn1::reader::MAX_DEPTH;
+use unicert_asn1::tag::tags;
+use unicert_asn1::{DateTime, Error, Oid, ParseBudget, Reader, StringKind, Tag, Writer};
 
 fn vectors_dir(profile: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/vectors").join(profile)
@@ -296,4 +305,111 @@ fn parse_budget_charges_every_tlv_on_golden_vectors() {
             assert_eq!(viewed, owned, "{name}: view error");
         }
     }
+}
+
+/// A certificate DER whose one extension is `oid` with the raw `value`.
+fn cert_with_extension(oid: Oid, value: Vec<u8>) -> Vec<u8> {
+    CertificateBuilder::new()
+        .subject_cn("bound.example")
+        .issuer_org("Bound CA")
+        .validity_days(DateTime::date(2024, 6, 1).unwrap(), 90)
+        .add_extension(Extension { oid, critical: false, value })
+        .build_signed(&SimKey::from_seed("extension-bounds"))
+        .to_der()
+}
+
+/// A SAN of `n` empty dNSNames: `[2]` with no content, two bytes, the
+/// smallest GeneralName there is.
+fn minimal_dns_san(n: usize) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.write_sequence(|w| (0..n).for_each(|_| w.write_tlv(Tag::context(2), &[])));
+    w.into_bytes()
+}
+
+/// The longest minimal-dNSName SAN whose certificate the survey admits:
+/// every TLV is at least two bytes, so the value holds at most 2^19 of
+/// them, half the element budget the certificate parse itself gets.
+fn longest_admissible_san() -> (Vec<u8>, usize) {
+    let limit = ParseBudget::default().max_input;
+    // From 40 000 names on, every enclosing length takes its 4-byte form,
+    // so each further name adds exactly two bytes.
+    let probe = 40_000;
+    let base = cert_with_extension(known::subject_alt_name(), minimal_dns_san(probe)).len();
+    let n = probe + (limit - base) / 2;
+    let der = cert_with_extension(known::subject_alt_name(), minimal_dns_san(n));
+    assert!(der.len() <= limit && der.len() + 2 > limit, "{} bytes", der.len());
+    (der, n)
+}
+
+/// certificatePolicies with one unknown qualifier whose content nests
+/// SEQUENCEs until the value's deepest element sits at `MAX_DEPTH`.
+fn deep_policy_qualifier() -> Vec<u8> {
+    fn nest(w: &mut Writer, levels: usize) {
+        if levels > 0 {
+            w.write_sequence(|w| nest(w, levels - 1));
+        }
+    }
+    let qualifier = Oid::from_arcs(&[1, 3, 6, 1, 4, 1, 99999, 1]).expect("valid arcs");
+    let mut w = Writer::new();
+    w.write_sequence(|w| {
+        w.write_sequence(|w| {
+            w.write_oid(&known::any_policy());
+            w.write_sequence(|w| {
+                w.write_sequence(|w| {
+                    w.write_oid(&qualifier);
+                    // Four SEQUENCEs enclose the qualifier content.
+                    nest(w, MAX_DEPTH - 4);
+                })
+            })
+        })
+    });
+    w.into_bytes()
+}
+
+/// SEQUENCE nesting depth of what `r` holds, read through `Reader`'s own
+/// depth limit.
+fn nesting_depth(r: &mut Reader<'_>) -> usize {
+    let mut deepest = 0;
+    while !r.is_empty() {
+        if r.peek_tag() == Some(tags::SEQUENCE) {
+            let inner = r.read_sequence(|seq| Ok(nesting_depth(seq))).expect("within MAX_DEPTH");
+            deepest = deepest.max(inner + 1);
+        } else {
+            r.read_tlv().expect("well-formed DER");
+        }
+    }
+    deepest
+}
+
+/// Extension values are decoded outside the parse budget, on a fresh
+/// `Reader`. The bound that leaves them is the input admission (a value is
+/// a slice of an admitted input, so it holds at most 2^19 TLVs) and
+/// `MAX_DEPTH` within each value. Both hostile shapes survey through the
+/// survey kernel without a panic, and identically at one and two threads.
+#[test]
+fn hostile_extension_values_stay_within_the_admission_bound() {
+    let (san, names) = longest_admissible_san();
+    let policies = deep_policy_qualifier();
+    assert_eq!(nesting_depth(&mut Reader::new(&policies)), MAX_DEPTH, "qualifier depth");
+    let sans = CertView::parse_der(&san).expect("admitted SAN certificate parses");
+    let value = sans.extensions.iter().find(|e| e.oid == known::subject_alt_name());
+    match value.map(|e| parse_extension_value(&e.oid, e.value)) {
+        Some(Ok(ParsedExtension::SubjectAltName(list))) => assert_eq!(list.len(), names),
+        other => panic!("SAN value must decode whole: {other:?}"),
+    }
+
+    let inputs = vec![san, cert_with_extension(known::certificate_policies(), policies)];
+    let report = |threads| {
+        let lint = RunOptions { threads: Some(threads), shard_size: 1, ..RunOptions::default() };
+        let opts = SurveyOptions { lint, ..SurveyOptions::default() };
+        let start = std::time::Instant::now();
+        let report = survey::survey(opts.registry(), &inputs, opts, 0);
+        let elapsed = start.elapsed();
+        println!("{names} dNSNames + MAX_DEPTH qualifier at {threads} thread(s): {elapsed:?}");
+        report
+    };
+    let serial = report(1);
+    assert!(serial.quarantine.is_empty(), "{:?}", serial.quarantine);
+    assert_eq!(serial.parse_outcomes.get("ok"), Some(&2), "{:?}", serial.parse_outcomes);
+    assert_eq!(report(2), serial, "thread count changed the report");
 }
