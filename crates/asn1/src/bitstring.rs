@@ -26,6 +26,7 @@ impl BitString {
     /// Validate BIT STRING content octets and split them into
     /// `(unused_bits, data)` without copying — the zero-copy view's form
     /// of [`BitString::from_der_value`], sharing its exact checks.
+    #[inline]
     pub fn split_der_value(value: &[u8]) -> Result<(u8, &[u8])> {
         let (&unused, data) = value.split_first().ok_or(Error::InvalidBitString)?;
         if unused > 7 || (data.is_empty() && unused != 0) {

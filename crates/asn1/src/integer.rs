@@ -31,6 +31,7 @@ pub fn encode_unsigned(magnitude: &[u8]) -> Vec<u8> {
 }
 
 /// Validate DER INTEGER content octets (non-empty, minimally encoded).
+#[inline]
 pub fn validate(body: &[u8]) -> Result<()> {
     match body {
         [] => Err(Error::InvalidInteger),
@@ -42,6 +43,7 @@ pub fn validate(body: &[u8]) -> Result<()> {
 }
 
 /// Decode content octets into a `u64`, rejecting negatives and overflow.
+#[inline]
 pub fn decode_u64(body: &[u8]) -> Result<u64> {
     validate(body)?;
     if body[0] & 0x80 != 0 {
@@ -74,6 +76,7 @@ pub fn decode_i64(body: &[u8]) -> Result<i64> {
 /// The unsigned magnitude of a non-negative INTEGER body (leading sign octet
 /// removed). Used for certificate serial numbers, which may be up to 20
 /// octets (CABF BR §7.1).
+#[inline]
 pub fn unsigned_magnitude(body: &[u8]) -> Result<&[u8]> {
     validate(body)?;
     if body[0] & 0x80 != 0 {

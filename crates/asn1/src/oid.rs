@@ -37,6 +37,7 @@ pub struct Oid {
 
 impl Oid {
     /// Build from raw content octets already validated by the caller.
+    #[inline]
     fn from_bytes(der: &[u8]) -> Oid {
         if der.len() <= INLINE_CAP {
             let mut buf = [0u8; INLINE_CAP];
@@ -52,61 +53,53 @@ impl Oid {
     /// Build from an arc sequence, e.g. `&[2, 5, 4, 3]` for `id-at-commonName`.
     ///
     /// Returns `None` for sequences that cannot be encoded (fewer than two
-    /// arcs, or first/second arcs out of range).
+    /// arcs, first/second arcs out of range, or a first subidentifier
+    /// `40 * a0 + a1` past `u64::MAX`).
     pub fn from_arcs(arcs: &[u64]) -> Option<Oid> {
-        let (&a0, &a1) = (arcs.first()?, arcs.get(1)?);
-        if a0 > 2 || (a0 < 2 && a1 > 39) {
-            return None;
+        let mut buf = [0u8; INLINE_CAP];
+        let len = encode_arcs(arcs, &mut buf)?;
+        if len <= INLINE_CAP {
+            return Some(Oid { repr: Repr::Inline { len: len as u8, buf } });
         }
-        let first = a0 * 40 + a1;
-        let total = arcs.get(2..).map_or(0, |rest| {
-            rest.iter().map(|&a| base128_len(a)).sum::<usize>()
-        }) + base128_len(first);
-        if total <= INLINE_CAP {
-            let mut buf = [0u8; INLINE_CAP];
-            let mut at = 0usize;
-            let mut emit = |b: u8| {
-                if let Some(slot) = buf.get_mut(at) {
-                    *slot = b;
-                }
-                at += 1;
-            };
-            for_each_base128(first, &mut emit);
-            for &arc in arcs.get(2..).unwrap_or(&[]) {
-                for_each_base128(arc, &mut emit);
-            }
-            Some(Oid { repr: Repr::Inline { len: total as u8, buf } })
-        } else {
-            let mut der = Vec::with_capacity(total); // analysis:allow(unbounded_alloc) capacity is the exact encoded length of caller-supplied arcs on the builder path, not attacker-controlled input
-            for_each_base128(first, |b| der.push(b));
-            for &arc in arcs.get(2..).unwrap_or(&[]) {
-                for_each_base128(arc, |b| der.push(b));
-            }
-            Some(Oid { repr: Repr::Heap(der.into()) })
+        let mut der = vec![0u8; len]; // analysis:allow(unbounded_alloc) the length is the exact encoding of caller-supplied arcs on the builder path, not attacker-controlled input
+        encode_arcs(arcs, &mut der);
+        Some(Oid { repr: Repr::Heap(der.into()) })
+    }
+
+    /// The dictionary constructor behind [`known`]: `arcs` encoded inline,
+    /// evaluated when a `known` constant is, so an entry that cannot be
+    /// encoded within [`INLINE_CAP`] octets fails the build.
+    const fn dictionary(arcs: &[u64]) -> Oid {
+        let mut buf = [0u8; INLINE_CAP];
+        match encode_arcs(arcs, &mut buf) {
+            Some(len) if len <= INLINE_CAP => Oid { repr: Repr::Inline { len: len as u8, buf } },
+            _ => panic!("dictionary OID does not encode inline"), // analysis:allow(panic_macro) const-evaluated only: every call initializes a `const`, so a bad entry is a compile error
         }
     }
 
     /// Parse DER content octets (the V of the OID's TLV).
+    #[inline]
     pub fn from_der_value(der: &[u8]) -> Result<Oid> {
-        if der.is_empty() || der.last().map(|b| b & 0x80 != 0) == Some(true) {
+        if der.last().is_none_or(|b| b & 0x80 != 0) {
             return Err(Error::InvalidOid);
         }
-        // Verify each arc is minimally encoded and fits in u64.
-        let mut continuations = 0;
-        let mut at_arc_start = true;
+        // Verify each arc is minimally encoded and fits in u64: at most ten
+        // septets, and a ten-septet arc's leading septet holds only bit 63.
+        let mut septets = 0u8;
+        let mut lead = 0u8;
         for &b in der {
-            if at_arc_start && b == 0x80 {
-                return Err(Error::InvalidOid); // non-minimal
-            }
-            if b & 0x80 != 0 {
-                continuations += 1;
-                if continuations > 9 {
-                    return Err(Error::InvalidOid);
+            if septets == 0 {
+                if b == 0x80 {
+                    return Err(Error::InvalidOid); // non-minimal
                 }
-                at_arc_start = false;
-            } else {
-                continuations = 0;
-                at_arc_start = true;
+                lead = b;
+            }
+            septets += 1;
+            if septets > 10 || (septets == 10 && lead > 0x81) {
+                return Err(Error::InvalidOid);
+            }
+            if b & 0x80 == 0 {
+                septets = 0;
             }
         }
         Ok(Oid::from_bytes(der))
@@ -119,6 +112,7 @@ impl Oid {
     }
 
     /// The DER content octets.
+    #[inline]
     pub fn as_der_value(&self) -> &[u8] {
         match &self.repr {
             Repr::Inline { len, buf } => buf.get(..usize::from(*len)).unwrap_or(buf),
@@ -175,6 +169,7 @@ impl Oid {
 // Equality, ordering, and hashing all go through the content octets so an
 // inline and a heap `Oid` with the same wire form are indistinguishable.
 impl PartialEq for Oid {
+    #[inline]
     fn eq(&self, other: &Oid) -> bool {
         self.as_der_value() == other.as_der_value()
     }
@@ -200,19 +195,51 @@ impl Ord for Oid {
     }
 }
 
-/// Number of base-128 septets `v` encodes to.
-fn base128_len(v: u64) -> usize {
-    1 + (1..10).rev().find(|&i| (v >> (7 * i)) & 0x7F != 0).unwrap_or(0)
+/// The workspace's one OID encoder: writes the DER content octets of
+/// `arcs` into `out`, as many as fit, and returns the full encoded length;
+/// `None` when the arcs cannot be encoded (see [`Oid::from_arcs`]). A
+/// `const fn`, so the [`known`] dictionary is encoded at compile time.
+const fn encode_arcs(arcs: &[u64], out: &mut [u8]) -> Option<usize> {
+    let [a0, a1, rest @ ..] = arcs else {
+        return None;
+    };
+    if *a0 > 2 || (*a0 < 2 && *a1 > 39) {
+        return None;
+    }
+    let Some(first) = (*a0 * 40).checked_add(*a1) else {
+        return None;
+    };
+    let mut at = put_base128(first, out, 0);
+    let mut rest = rest;
+    while let [arc, tail @ ..] = rest {
+        at = put_base128(*arc, out, at);
+        rest = tail;
+    }
+    Some(at)
 }
 
-fn for_each_base128(v: u64, mut emit: impl FnMut(u8)) {
-    // 10 septets cover a u64; emit most-significant first with the
-    // continuation bit on every octet but the last.
-    let top = (1..10).rev().find(|&i| (v >> (7 * i)) & 0x7F != 0).unwrap_or(0);
-    for i in (1..=top).rev() {
-        emit(((v >> (7 * i)) & 0x7F) as u8 | 0x80);
+/// Write `v` as base-128 septets at `out[at..]`, most significant first
+/// with the continuation bit on every octet but the last, dropping octets
+/// past the end of `out`; returns the position after the last septet.
+const fn put_base128(v: u64, out: &mut [u8], at: usize) -> usize {
+    // Ten septets cover a u64; `top` is the highest non-zero one.
+    let mut top = 9;
+    while top > 0 && (v >> (7 * top)) & 0x7F == 0 {
+        top -= 1;
     }
-    emit((v & 0x7F) as u8);
+    let mut at = at;
+    let mut i = top;
+    loop {
+        let septet = ((v >> (7 * i)) & 0x7F) as u8;
+        if let Some((_, [slot, ..])) = out.split_at_mut_checked(at) {
+            *slot = if i > 0 { septet | 0x80 } else { septet };
+        }
+        at += 1;
+        if i == 0 {
+            return at;
+        }
+        i -= 1;
+    }
 }
 
 impl fmt::Debug for Oid {
@@ -240,17 +267,20 @@ pub mod known {
         ($($(#[$doc:meta])* $name:ident = [$($arc:expr),+], $short:literal, $long:literal;)+) => {
             $(
                 $(#[$doc])*
-                pub fn $name() -> Oid {
-                    // Encode once per process; afterwards each call is an
-                    // atomic load plus an inline-buffer memcpy (no heap).
-                    static CACHED: std::sync::OnceLock<Oid> = std::sync::OnceLock::new();
-                    CACHED
-                        .get_or_init(|| {
-                            Oid::from_arcs(&[$($arc),+]).expect("static OID is valid") // analysis:allow(expect) arcs are compile-time constants validated by tests
-                        })
-                        .clone()
+                #[inline]
+                pub const fn $name() -> Oid {
+                    // Encoded at compile time by the encoder `from_arcs`
+                    // uses; a call copies the constant's 24 bytes (no
+                    // heap, no lock, no call once inlined).
+                    const OID: Oid = Oid::dictionary(&[$($arc),+]);
+                    OID
                 }
             )+
+
+            /// Every entry as `(constant, arcs, short name, long name)`.
+            #[cfg(test)]
+            pub(super) const ENTRIES: &[(Oid, &[u64], &str, &str)] =
+                &[$(($name(), &[$($arc),+], $short, $long)),+];
 
             /// Look up `(short_name, long_name)` for a known OID.
             pub fn lookup(oid: &Oid) -> Option<(&'static str, &'static str)> {
@@ -429,6 +459,58 @@ mod tests {
         assert!(Oid::from_der_value(&[]).is_err());
         assert!(Oid::from_der_value(&[0x80, 0x01]).is_err()); // non-minimal
         assert!(Oid::from_der_value(&[0x55, 0x84]).is_err()); // truncated arc
+    }
+
+    #[test]
+    fn dictionary_entries_match_the_encoder() {
+        for (oid, arcs, short, long) in known::ENTRIES {
+            assert_eq!(Some(oid), Oid::from_arcs(arcs).as_ref(), "{arcs:?}");
+            assert_eq!(Oid::from_der_value(oid.as_der_value()).as_ref(), Ok(oid), "{arcs:?}");
+            assert_eq!(oid.arcs(), *arcs);
+            assert_eq!(known::lookup(oid), Some((*short, *long)), "{arcs:?}");
+        }
+        assert_eq!(known::ENTRIES.len(), 57);
+    }
+
+    /// The dictionary is built at compile time: these `const` items (and
+    /// `known::ENTRIES`) stop compiling if a constructor goes back to
+    /// lazy initialisation.
+    const COMMON_NAME: Oid = known::common_name();
+    const LONGEST_ENTRY: Oid = known::jurisdiction_locality();
+
+    #[test]
+    fn dictionary_constants_are_compile_time() {
+        assert_eq!(COMMON_NAME.as_der_value(), &[0x55, 0x04, 0x03]);
+        assert_eq!(LONGEST_ENTRY.as_der_value().len(), 11);
+        let longest = known::ENTRIES.iter().map(|(oid, ..)| oid.as_der_value().len()).max();
+        assert_eq!(longest, Some(11));
+    }
+
+    #[test]
+    fn first_subidentifier_overflow_is_rejected() {
+        // 2 * 40 + a1 past u64::MAX: no OID, where the encoder used to
+        // wrap (release) or panic (debug).
+        assert!(Oid::from_dotted("2.18446744073709551615").is_none());
+        assert!(Oid::from_arcs(&[2, u64::MAX - 79, 1]).is_none());
+        // The largest first subidentifier still encodes, in ten septets.
+        let max = Oid::from_arcs(&[2, u64::MAX - 80]).unwrap();
+        assert_eq!(max.as_der_value().len(), 10);
+        assert_eq!(max.arcs(), [2, u64::MAX - 80]);
+    }
+
+    #[test]
+    fn arcs_past_u64_are_rejected() {
+        // 1.2 then a ten-septet arc whose lead septet sets bit 64: 2^64.
+        let over = [0x2A, 0x82, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00];
+        assert_eq!(Oid::from_der_value(&over).unwrap_err(), Error::InvalidOid);
+        // Bit 63 alone fits: 1.2.(2^63), and u64::MAX itself.
+        let top = [0x2A, 0x81, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00];
+        assert_eq!(Oid::from_der_value(&top).unwrap().arcs(), [1, 2, 1 << 63]);
+        let max = Oid::from_arcs(&[1, 2, u64::MAX]).unwrap();
+        assert_eq!(Oid::from_der_value(max.as_der_value()).unwrap().arcs(), [1, 2, u64::MAX]);
+        // Eleven septets never fit.
+        let long = [0x2A, 0x80 | 0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00];
+        assert_eq!(Oid::from_der_value(&long).unwrap_err(), Error::InvalidOid);
     }
 
     #[test]

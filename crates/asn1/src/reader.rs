@@ -79,6 +79,7 @@ pub struct BudgetState {
 
 impl BudgetState {
     /// Charge one decoded TLV element of `raw_len` total bytes.
+    #[inline]
     fn charge(&self, raw_len: usize) -> Result<()> {
         let elements = self.elements.get().saturating_add(1);
         self.elements.set(elements);
@@ -183,6 +184,7 @@ impl<'a> Tlv<'a> {
     }
 
     /// Require this element to carry `expected`, else [`Error::TagMismatch`].
+    #[inline]
     pub fn expect(&self, expected: Tag) -> Result<&Tlv<'a>> {
         if self.tag == expected {
             Ok(self)
@@ -203,6 +205,7 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// Start reading at the beginning of `input`.
+    #[inline]
     pub fn new(input: &'a [u8]) -> Reader<'a> {
         Reader { input, pos: 0, depth: 0, budget: None }
     }
@@ -212,21 +215,25 @@ impl<'a> Reader<'a> {
     /// sequence/set helpers) share the same budget state, so the limits are
     /// cumulative across the whole parse — call [`ParseBudget::admit`] on
     /// the input first to enforce `max_input`.
+    #[inline]
     pub fn with_budget(input: &'a [u8], budget: &'a BudgetState) -> Reader<'a> {
         Reader { input, pos: 0, depth: 0, budget: Some(budget) }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.input.len() - self.pos
     }
 
     /// True when every byte has been consumed.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
 
     /// Fail with [`Error::TrailingData`] unless the input is exhausted.
+    #[inline]
     pub fn finish(&self) -> Result<()> {
         if self.is_empty() {
             Ok(())
@@ -235,6 +242,7 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(Error::UnexpectedEof { needed: n - self.remaining() });
@@ -245,51 +253,29 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    #[inline]
     fn take_byte(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
     /// Peek the tag of the next element without consuming anything.
     ///
-    /// Returns `None` at end of input. Used for OPTIONAL fields.
+    /// Returns `None` at end of input, or when the identifier octets are
+    /// malformed. Used for OPTIONAL fields.
+    #[inline]
     pub fn peek_tag(&self) -> Option<Tag> {
-        let mut clone = self.clone();
-        clone.read_tag().ok()
+        let rest = self.input.get(self.pos..)?;
+        decode_tag(rest).ok().map(|(tag, _)| tag)
     }
 
+    #[inline]
     fn read_tag(&mut self) -> Result<Tag> {
-        let first = self.take_byte()?;
-        let (class, constructed, low) = Tag::from_first_octet(first);
-        let number = if low < 31 {
-            low as u32
-        } else {
-            // High tag number form: base-128, MSB continuation, at most
-            // 4 octets (tag numbers fit in u32 well before that).
-            let mut n: u32 = 0;
-            let mut terminated = false;
-            for octet in 0..4 {
-                let b = self.take_byte()?;
-                if octet == 0 && b == 0x80 {
-                    return Err(Error::InvalidTag); // non-minimal
-                }
-                n = n.checked_mul(128).ok_or(Error::InvalidTag)?;
-                n += (b & 0x7F) as u32;
-                if b & 0x80 == 0 {
-                    terminated = true;
-                    break;
-                }
-            }
-            if !terminated {
-                return Err(Error::InvalidTag);
-            }
-            if n < 31 {
-                return Err(Error::InvalidTag); // should have used low form
-            }
-            n
-        };
-        Ok(Tag { class, constructed, number })
+        let (tag, octets) = decode_tag(self.input.get(self.pos..).unwrap_or_default())?;
+        self.take(octets)?;
+        Ok(tag)
     }
 
+    #[inline]
     fn read_length(&mut self) -> Result<usize> {
         let first = self.take_byte()?;
         if first < 0x80 {
@@ -322,6 +308,7 @@ impl<'a> Reader<'a> {
     /// allocation or a loop bound from it. This makes "length bombs"
     /// structurally inert — no code downstream of the reader ever sees a
     /// declared length larger than the remaining input.
+    #[inline]
     fn admit_length(&self, len: usize) -> Result<usize> {
         if len > self.remaining() {
             return Err(Error::UnexpectedEof { needed: len - self.remaining() });
@@ -330,6 +317,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read the next complete TLV element.
+    #[inline]
     pub fn read_tlv(&mut self) -> Result<Tlv<'a>> {
         let start = self.pos;
         let tag = self.read_tag()?;
@@ -343,6 +331,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read the next element and require tag `expected`.
+    #[inline]
     pub fn read_expected(&mut self, expected: Tag) -> Result<Tlv<'a>> {
         let tlv = self.read_tlv()?;
         tlv.expect(expected)?; // analysis:allow(expect) Tlv::expect returns Result, it never panics
@@ -350,6 +339,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read an element only if its tag matches (OPTIONAL fields).
+    #[inline]
     pub fn read_optional(&mut self, tag: Tag) -> Result<Option<Tlv<'a>>> {
         match self.peek_tag() {
             Some(t) if t == tag => Ok(Some(self.read_tlv()?)),
@@ -359,6 +349,7 @@ impl<'a> Reader<'a> {
 
     /// Read an element whose tag is context-specific `[n]` regardless of the
     /// constructed bit (OPTIONAL fields that implementations encode loosely).
+    #[inline]
     pub fn read_optional_context(&mut self, number: u32) -> Result<Option<Tlv<'a>>> {
         match self.peek_tag() {
             Some(t) if t.class == Class::ContextSpecific && t.number == number => {
@@ -420,6 +411,40 @@ impl<'a> Reader<'a> {
             out.push(self.read_tlv()?);
         }
         Ok(out)
+    }
+}
+
+/// Decode the identifier octets at the start of `input`: the tag and the
+/// number of octets it takes. The low form is one octet; the high tag
+/// number form is base-128 with MSB continuation, at most 4 octets after
+/// the first (tag numbers fit in u32 well before that), minimally encoded,
+/// and only for numbers of 31 and up.
+#[inline]
+fn decode_tag(input: &[u8]) -> Result<(Tag, usize)> {
+    let (&first, rest) = input.split_first().ok_or(Error::UnexpectedEof { needed: 1 })?;
+    let (class, constructed, low) = Tag::from_first_octet(first);
+    if low < 31 {
+        return Ok((Tag { class, constructed, number: u32::from(low) }, 1));
+    }
+    let mut n: u32 = 0;
+    for (octet, &b) in rest.iter().take(4).enumerate() {
+        if octet == 0 && b == 0x80 {
+            return Err(Error::InvalidTag); // non-minimal
+        }
+        n = n.checked_mul(128).ok_or(Error::InvalidTag)? | u32::from(b & 0x7F);
+        if b & 0x80 == 0 {
+            if n < 31 {
+                return Err(Error::InvalidTag); // should have used low form
+            }
+            return Ok((Tag { class, constructed, number: n }, octet.saturating_add(2)));
+        }
+    }
+    // Every octet present carried the continuation bit: the input ended
+    // inside the tag, or the tag is longer than four octets.
+    if rest.len() < 4 {
+        Err(Error::UnexpectedEof { needed: 1 })
+    } else {
+        Err(Error::InvalidTag)
     }
 }
 
@@ -488,6 +513,39 @@ mod tests {
         let der = [0x9F, 0x64, 0x00];
         let tlv = parse_single(&der).unwrap();
         assert_eq!(tlv.tag, Tag::context(100));
+    }
+
+    #[test]
+    fn peek_tag_agrees_with_read_tlv() {
+        let headers: [&[u8]; 9] = [
+            &[0x02, 0x01, 0x05],                   // low form
+            &[0x9F, 0x64, 0x00],                   // [100], high form
+            &[0xBF, 0x81, 0x00, 0x00],             // [128], two octets
+            &[0x9F, 0xFF, 0xFF, 0xFF, 0x7F, 0x00], // four octets, the most allowed
+            &[0x9F, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F], // five octets
+            &[0x9F, 0x80, 0x64, 0x00],             // non-minimal
+            &[0x9F, 0x05, 0x00],                   // high form below 31
+            &[0x30, 0x80, 0x00, 0x00],             // good tag, bad length
+            &[],
+        ];
+        for header in headers {
+            // Every prefix too: truncation anywhere in the header.
+            for cut in 0..=header.len() {
+                let input = &header[..cut];
+                let reader = Reader::new(input);
+                let peeked = reader.peek_tag();
+                let mut tag_only = reader.clone();
+                assert_eq!(peeked, tag_only.read_tag().ok(), "{input:02x?}");
+                match reader.clone().read_tlv() {
+                    Ok(tlv) => assert_eq!(peeked, Some(tlv.tag), "{input:02x?}"),
+                    Err(e) if peeked.is_none() => assert!(
+                        matches!(e, Error::InvalidTag | Error::UnexpectedEof { needed: 1 }),
+                        "{input:02x?}: {e:?}"
+                    ),
+                    Err(_) => {}
+                }
+            }
+        }
     }
 
     #[test]

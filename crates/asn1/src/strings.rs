@@ -68,6 +68,7 @@ impl StringKind {
     }
 
     /// The universal tag number.
+    #[inline]
     pub fn tag_number(self) -> u32 {
         match self {
             StringKind::Utf8 => universal::UTF8_STRING,
@@ -82,6 +83,7 @@ impl StringKind {
     }
 
     /// Map a universal tag number back to a string kind.
+    #[inline]
     pub fn from_tag_number(n: u32) -> Option<StringKind> {
         ALL_KINDS.iter().copied().find(|k| k.tag_number() == n)
     }
@@ -159,6 +161,7 @@ impl StringKind {
     /// The content octets as their own wire text, when they are: valid
     /// UTF-8 under UTF8String, or ASCII under a single-byte kind (each
     /// octet widens to the scalar of the same value).
+    #[inline]
     pub fn as_wire_text(self, bytes: &[u8]) -> Option<&str> {
         match self {
             StringKind::Utf8 => std::str::from_utf8(bytes).ok(),
@@ -169,6 +172,7 @@ impl StringKind {
 
     /// Octets per code unit of the fixed-width wire formats (UTF-8 is
     /// variable and reported as 1).
+    #[inline]
     fn unit_width(self) -> usize {
         match self {
             StringKind::Universal => 4,

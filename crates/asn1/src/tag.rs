@@ -25,6 +25,7 @@ impl Class {
         }
     }
 
+    #[inline]
     fn from_bits(b: u8) -> Class {
         match b & 0b1100_0000 {
             0b0000_0000 => Class::Universal,
@@ -79,6 +80,7 @@ impl Tag {
         self.class.bits() | if self.constructed { 0b0010_0000 } else { 0 } | low
     }
 
+    #[inline]
     pub(crate) fn from_first_octet(b: u8) -> (Class, bool, u8) {
         (Class::from_bits(b), b & 0b0010_0000 != 0, b & 0b0001_1111)
     }

@@ -33,10 +33,12 @@ pub struct DateTime {
     pub second: u8,
 }
 
+#[inline]
 fn is_leap(year: i32) -> bool {
     (year % 4 == 0 && year % 100 != 0) || year % 400 == 0
 }
 
+#[inline]
 fn days_in_month(year: i32, month: u8) -> u8 {
     match month {
         1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,
@@ -54,6 +56,7 @@ fn days_in_month(year: i32, month: u8) -> u8 {
 
 impl DateTime {
     /// Construct a validated timestamp.
+    #[inline]
     pub fn new(year: i32, month: u8, day: u8, hour: u8, minute: u8, second: u8) -> Result<DateTime> {
         if !(1..=12).contains(&month)
             || day == 0
@@ -122,6 +125,7 @@ impl DateTime {
     ///
     /// RFC 5280 requires seconds and the `Z` suffix; two-digit years map to
     /// 1950–2049.
+    #[inline]
     pub fn from_utc_time(bytes: &[u8]) -> Result<DateTime> {
         let d: [i32; 12] = digits(bytes)?;
         let yy = (d[0] * 10 + d[1]) as i32;
@@ -137,6 +141,7 @@ impl DateTime {
     }
 
     /// Parse GeneralizedTime content octets (`YYYYMMDDHHMMSSZ`).
+    #[inline]
     pub fn from_generalized(bytes: &[u8]) -> Result<DateTime> {
         let d: [i32; 14] = digits(bytes)?;
         let year = (d[0] as i32) * 1000 + (d[1] as i32) * 100 + (d[2] as i32) * 10 + d[3] as i32;

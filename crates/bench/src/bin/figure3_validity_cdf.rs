@@ -4,7 +4,7 @@
 
 use unicert_bench::table;
 
-fn cdf_at(samples: &[i64], day: i64) -> f64 {
+fn cdf_at(samples: &[i32], day: i32) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
@@ -18,7 +18,7 @@ fn main() {
     let report = unicert_bench::standard_survey(config);
     let v = &report.validity;
 
-    let marks = [90i64, 180, 365, 398, 700, 1000];
+    let marks = [90i32, 180, 365, 398, 700, 1000];
     let mut rows = Vec::new();
     for day in marks {
         rows.push(vec![

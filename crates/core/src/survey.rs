@@ -247,15 +247,16 @@ pub struct YearStats {
     pub alive_noncompliant: usize,
 }
 
-/// Validity-period samples per certificate class (Figure 3's CDFs).
+/// Validity-period samples per certificate class (Figure 3's CDFs), in
+/// whole days.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ValiditySamples {
     /// IDNCerts.
-    pub idn: Vec<i64>,
+    pub idn: Vec<i32>,
     /// Non-IDN Unicerts.
-    pub other: Vec<i64>,
+    pub other: Vec<i32>,
     /// Noncompliant Unicerts.
-    pub noncompliant: Vec<i64>,
+    pub noncompliant: Vec<i32>,
 }
 
 /// The survey result.
@@ -402,6 +403,13 @@ impl YearStats {
         self.alive += other.alive;
         self.alive_noncompliant += other.alive_noncompliant;
     }
+}
+
+/// A validity period in days as a [`ValiditySamples`] entry: `i32`,
+/// saturating at its bounds. A DER time cannot reach them: GeneralizedTime
+/// years run 0000–9999, a span under 3.7 million days.
+fn sample_days(days: i64) -> i32 {
+    i32::try_from(days).unwrap_or(if days < 0 { i32::MIN } else { i32::MAX })
 }
 
 impl ValiditySamples {
@@ -773,7 +781,7 @@ fn accumulate_ctx(
     let expires = ctx.validity().not_after;
     let recent = issued.year >= RECENT_FROM;
     let alive_now = expires.year >= ALIVE_FROM && issued <= SURVEY_CUTOFF;
-    let validity_days = ctx.validity().period_days();
+    let validity_days = sample_days(ctx.validity().period_days());
 
     // Figure 3 samples.
     if nc {
@@ -1098,6 +1106,24 @@ mod tests {
     }
 
     #[test]
+    fn validity_samples_saturate_at_the_i32_bounds() {
+        assert_eq!(sample_days(0), 0);
+        assert_eq!(sample_days(-398), -398);
+        assert_eq!(sample_days(i64::from(i32::MAX)), i32::MAX);
+        assert_eq!(sample_days(i64::from(i32::MAX) + 1), i32::MAX);
+        assert_eq!(sample_days(i64::from(i32::MIN)), i32::MIN);
+        assert_eq!(sample_days(i64::from(i32::MIN) - 1), i32::MIN);
+        assert_eq!(sample_days(i64::MAX), i32::MAX);
+        assert_eq!(sample_days(i64::MIN), i32::MIN);
+        // The widest DER span, 0000-01-01 to 9999-12-31, stays far inside.
+        let first = DateTime::date(0, 1, 1).unwrap();
+        let last = DateTime::date(9999, 12, 31).unwrap();
+        let span = first.days_until(&last);
+        assert_eq!(i64::from(sample_days(span)), span);
+        assert_eq!(i64::from(sample_days(-span)), -span);
+    }
+
+    #[test]
     fn precerts_are_filtered() {
         let r = survey_generated(2_000);
         assert!(r.precerts_filtered > 300);
@@ -1157,7 +1183,7 @@ mod tests {
     #[test]
     fn validity_cdf_shapes() {
         let r = survey_generated(20_000);
-        let frac = |v: &[i64], p: &dyn Fn(i64) -> bool| {
+        let frac = |v: &[i32], p: &dyn Fn(i32) -> bool| {
             if v.is_empty() {
                 return 0.0;
             }

@@ -87,6 +87,7 @@ pub fn validate_dns_name(name: &str, opts: DnsNameOptions) -> Result<(), DnsName
 
 /// Is this (syntactically LDH-valid) domain an IDN — does any label carry
 /// the ACE prefix, or does the name contain non-ASCII (a raw U-label)?
+#[inline]
 pub fn is_idn_domain(name: &str) -> bool {
     !name.is_ascii() || name.split('.').any(label::has_ace_prefix)
 }

@@ -64,6 +64,7 @@ pub enum LabelError {
 }
 
 /// Is `label` syntactically an A-label candidate (has the ACE prefix)?
+#[inline]
 pub fn has_ace_prefix(label: &str) -> bool {
     label
         .get(..4)

@@ -66,6 +66,7 @@ struct FamilyStats {
 }
 
 impl FamilyStats {
+    #[inline]
     fn touch(&self, hit: bool) {
         if hit {
             self.hit.set(self.hit.get().saturating_add(1));
@@ -270,11 +271,13 @@ impl CachedVal {
     }
 
     /// The content octets, untouched.
+    #[inline]
     pub fn bytes(&self) -> &[u8] {
         self.touch_origin();
         self.octets()
     }
 
+    #[inline]
     fn octets(&self) -> &[u8] {
         match &self.content {
             Content::Text { text, .. } => text.as_bytes(),
@@ -284,6 +287,7 @@ impl CachedVal {
 
     /// Wire-format decode (`RawValue::decode_wire`), memoized. `None` means
     /// the bytes are not decodable under the declared tag.
+    #[inline]
     pub fn wire_text(&self) -> Option<&str> {
         self.touch_origin();
         match &self.content {
@@ -560,22 +564,26 @@ impl<'c> LintContext<'c> {
     }
 
     /// The serial number magnitude.
+    #[inline]
     pub fn serial(&self) -> &[u8] {
         self.view.serial
     }
 
     /// The validity window.
+    #[inline]
     pub fn validity(&self) -> &Validity {
         &self.view.validity
     }
 
     /// Index of the first extension carrying `oid`, in wire order — the
     /// extension `TbsCertificate::extension` selects.
+    #[inline]
     pub fn extension_position(&self, oid: &Oid) -> Option<usize> {
         self.view.extensions.iter().position(|e| &e.oid == oid)
     }
 
     /// Is an extension with `oid` present?
+    #[inline]
     pub fn has_extension(&self, oid: &Oid) -> bool {
         self.extension_position(oid).is_some()
     }
@@ -734,6 +742,7 @@ impl<'c> LintContext<'c> {
     // --- DNs ------------------------------------------------------------
 
     /// All attributes of a DN in wire order, with cached values.
+    #[inline]
     pub fn dn_attrs(&self, which: Which) -> &[DnAttr] {
         &self.dn_cache(which).attrs
     }
@@ -772,6 +781,7 @@ impl<'c> LintContext<'c> {
 
     /// Parse results for every extension, parallel to
     /// `view.extensions`; `None` marks a malformed body.
+    #[inline]
     pub fn parsed_extensions(&self) -> &[Option<ParsedExtension>] {
         self.stats.san.touch(self.parsed_exts.get().is_some());
         self.parsed_exts

@@ -30,6 +30,8 @@
 //! between runs, a foreign profile) fails the decode; the caller treats
 //! that exactly like a corrupt checkpoint and re-surveys the shard.
 
+use std::fmt::Write;
+
 use crate::segment::{parse_trust, trust_label};
 use crate::{escape, unescape};
 use unicert::survey::{
@@ -38,24 +40,24 @@ use unicert::survey::{
 };
 use unicert_lint::{NoncomplianceType, Registry};
 
-/// Render one `i64` sample vector: comma-joined, `-` when empty (so the
-/// line count is fixed and decode needs no lookahead).
-fn encode_samples(samples: &[i64]) -> String {
+/// Append one sample vector to `out`, each sample written in place:
+/// comma-joined, `-` when empty (so the line count is fixed and decode
+/// needs no lookahead).
+fn encode_samples(out: &mut String, samples: &[i32]) {
     if samples.is_empty() {
-        return "-".to_string();
+        out.push('-');
     }
-    let mut out = String::new();
     for (i, v) in samples.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&v.to_string());
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{v}");
     }
-    out
 }
 
 /// Reverse of [`encode_samples`].
-fn decode_samples(field: &str) -> Result<Vec<i64>, String> {
+fn decode_samples(field: &str) -> Result<Vec<i32>, String> {
     if field == "-" {
         return Ok(Vec::new());
     }
@@ -115,9 +117,16 @@ pub fn encode_report(report: &SurveyReport) -> String {
             ys.issued, ys.trusted, ys.noncompliant, ys.alive, ys.alive_noncompliant,
         ));
     }
-    out.push_str(&format!("vidn\t{}\n", encode_samples(&report.validity.idn)));
-    out.push_str(&format!("vother\t{}\n", encode_samples(&report.validity.other)));
-    out.push_str(&format!("vnc\t{}\n", encode_samples(&report.validity.noncompliant)));
+    for (key, samples) in [
+        ("vidn", &report.validity.idn),
+        ("vother", &report.validity.other),
+        ("vnc", &report.validity.noncompliant),
+    ] {
+        out.push_str(key);
+        out.push('\t');
+        encode_samples(&mut out, samples);
+        out.push('\n');
+    }
     for ((issuer, field), (total, nc)) in &report.field_matrix {
         out.push_str(&format!(
             "cell\t{}\t{}\t{}\t{}\n",

@@ -63,6 +63,7 @@ impl RawValue {
 /// [`RawValue::decode_wire`] of a value given as its tag number and
 /// content octets, borrowing them when they already are the text (see
 /// [`StringKind::decode_wire_borrowed`]).
+#[inline]
 pub fn wire_text(tag_number: u32, bytes: &[u8]) -> Result<Cow<'_, str>> {
     match StringKind::from_tag_number(tag_number) {
         Some(k) => k.decode_wire_borrowed(bytes),

@@ -71,7 +71,7 @@ fn figure_2_shape() {
 #[test]
 fn figure_3_shape() {
     let r = report(30_000);
-    let frac = |v: &[i64], p: &dyn Fn(i64) -> bool| {
+    let frac = |v: &[i32], p: &dyn Fn(i32) -> bool| {
         v.iter().filter(|&&d| p(d)).count() as f64 / v.len().max(1) as f64
     };
     // ~90% of IDNCerts on the 90-day trend.
@@ -82,7 +82,7 @@ fn figure_3_shape() {
     assert!(frac(&r.validity.noncompliant, &|d| d >= 365) > 0.40);
     assert!(frac(&r.validity.noncompliant, &|d| d > 700) > 0.12);
     // And NC certs are longer-lived than IDNCerts at the median.
-    let median = |v: &[i64]| {
+    let median = |v: &[i32]| {
         let mut s = v.to_vec();
         s.sort();
         s[s.len() / 2]
