@@ -221,7 +221,7 @@ const fn encode_arcs(arcs: &[u64], out: &mut [u8]) -> Option<usize> {
 /// Write `v` as base-128 septets at `out[at..]`, most significant first
 /// with the continuation bit on every octet but the last, dropping octets
 /// past the end of `out`; returns the position after the last septet.
-const fn put_base128(v: u64, out: &mut [u8], at: usize) -> usize {
+pub(crate) const fn put_base128(v: u64, out: &mut [u8], at: usize) -> usize {
     // Ten septets cover a u64; `top` is the highest non-zero one.
     let mut top = 9;
     while top > 0 && (v >> (7 * top)) & 0x7F == 0 {

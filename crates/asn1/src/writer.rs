@@ -1,16 +1,18 @@
 //! DER writer producing canonical encodings.
 
-use crate::oid::Oid;
+use crate::oid::{put_base128, Oid};
 use crate::strings::StringKind;
 use crate::tag::{tags, Tag};
 use crate::time::DateTime;
 
-/// An append-only DER encoder.
+/// An append-only DER encoder over one buffer.
 ///
-/// Nested structures are written with [`Writer::write_constructed`], which
-/// buffers the child encoding and emits the correct definite length — DER
-/// forbids indefinite lengths, so lengths must be known before the header is
-/// written.
+/// Nested structures are written with [`Writer::write_constructed`]. DER
+/// forbids indefinite lengths, and a constructed element's length is known
+/// only once its contents are written, so the writer reserves one length
+/// octet, writes the contents in place and then patches the length; long
+/// contents get their extra length octets spliced in. Every element of an
+/// encoding lands in the same buffer, whatever its nesting depth.
 #[derive(Debug, Default, Clone)]
 pub struct Writer {
     out: Vec<u8>,
@@ -22,9 +24,11 @@ impl Writer {
         Writer::default()
     }
 
-    /// Consume the writer and return the encoded bytes.
+    /// Consume the writer and return the encoded bytes, in a buffer whose
+    /// capacity equals its length (encodings are often kept, e.g. as a
+    /// certificate's `raw`, so growth slack would be held for good).
     pub fn into_bytes(self) -> Vec<u8> {
-        self.out
+        self.out.into_boxed_slice().into_vec()
     }
 
     /// Bytes written so far.
@@ -33,31 +37,20 @@ impl Writer {
     }
 
     fn write_tag(&mut self, tag: Tag) {
-        if tag.number < 31 {
-            self.out.push(tag.first_octet());
-        } else {
-            self.out.push(tag.first_octet()); // low bits all-ones marker
-            // 5 septets cover a u32; emit most-significant first with the
-            // continuation bit on every octet but the last.
-            let n = tag.number;
-            let top = (1..5).rev().find(|&i| (n >> (7 * i)) & 0x7F != 0).unwrap_or(0);
-            for i in (1..=top).rev() {
-                self.out.push(((n >> (7 * i)) & 0x7F) as u8 | 0x80);
-            }
-            self.out.push((n & 0x7F) as u8);
+        self.out.push(tag.first_octet());
+        if tag.number >= 31 {
+            // High-tag-number form: the number follows the all-ones marker
+            // in base-128, the encoding OID arcs use. Five septets cover a
+            // u32.
+            let mut septets = [0u8; 5];
+            let end = put_base128(u64::from(tag.number), &mut septets, 0);
+            self.out.extend_from_slice(septets.get(..end).unwrap_or(&septets));
         }
     }
 
     fn write_length(&mut self, len: usize) {
-        if len < 0x80 {
-            self.out.push(len as u8);
-        } else {
-            let bytes = (len as u64).to_be_bytes();
-            let skip = bytes.iter().take_while(|&&b| b == 0).count();
-            let significant = bytes.get(skip..).unwrap_or(&[]);
-            self.out.push(0x80 | significant.len() as u8);
-            self.out.extend_from_slice(significant);
-        }
+        let (header, used) = length_octets(len);
+        self.out.extend_from_slice(header.get(..used).unwrap_or(&header));
     }
 
     /// Write a complete TLV with the given tag and content octets.
@@ -73,10 +66,26 @@ impl Writer {
     }
 
     /// Write a constructed element whose contents are produced by `f`.
+    ///
+    /// `f` writes into this writer's own buffer, after the tag and one
+    /// reserved length octet; the length is patched in afterwards, and when
+    /// the contents reach 128 bytes the extra length octets are spliced in
+    /// before them.
     pub fn write_constructed(&mut self, tag: Tag, f: impl FnOnce(&mut Writer)) {
-        let mut inner = Writer::new();
-        f(&mut inner);
-        self.write_tlv(tag, &inner.out);
+        self.write_tag(tag);
+        let at = self.out.len();
+        self.out.push(0);
+        f(self);
+        let end = self.out.len();
+        let (header, used) = length_octets(end.saturating_sub(at + 1));
+        if used > 1 {
+            // Grow by the extra length octets and shift the contents up.
+            self.out.extend_from_slice(header.get(1..used).unwrap_or_default());
+            self.out.copy_within(at + 1..end, at + used);
+        }
+        for (slot, &b) in self.out.iter_mut().skip(at).zip(header.iter().take(used)) {
+            *slot = b;
+        }
     }
 
     /// Write a SEQUENCE whose contents are produced by `f`.
@@ -161,10 +170,30 @@ impl Writer {
     }
 }
 
+/// The DER length octets for `len`, as a buffer and the number of its
+/// leading bytes in use: one octet below 128, else `0x80 | n` followed by
+/// the `n` significant big-endian bytes.
+fn length_octets(len: usize) -> ([u8; 9], usize) {
+    let mut header = [0u8; 9];
+    if len < 0x80 {
+        header[0] = len as u8;
+        return (header, 1);
+    }
+    let bytes = (len as u64).to_be_bytes();
+    let skip = bytes.iter().take_while(|&&b| b == 0).count();
+    let significant = bytes.get(skip..).unwrap_or(&[]);
+    header[0] = 0x80 | significant.len() as u8;
+    for (slot, &b) in header.iter_mut().skip(1).zip(significant) {
+        *slot = b;
+    }
+    (header, significant.len() + 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reader::parse_single;
+    use crate::tag::Class;
 
     #[test]
     fn short_and_long_lengths() {
@@ -205,6 +234,82 @@ mod tests {
         assert_eq!(w.as_bytes(), &[0x9F, 0x64, 0x00]);
         let tlv = parse_single(w.as_bytes()).unwrap();
         assert_eq!(tlv.tag, Tag::context(100));
+    }
+
+    /// The septet loop `write_tag` kept before it shared the OID encoder's
+    /// `put_base128`, transcribed as the oracle for the high-tag form.
+    fn septet_loop_tag_octets(tag: Tag) -> Vec<u8> {
+        let mut out = vec![tag.first_octet()];
+        if tag.number >= 31 {
+            let n = tag.number;
+            let top = (1..5).rev().find(|&i| (n >> (7 * i)) & 0x7F != 0).unwrap_or(0);
+            for i in (1..=top).rev() {
+                out.push(((n >> (7 * i)) & 0x7F) as u8 | 0x80);
+            }
+            out.push((n & 0x7F) as u8);
+        }
+        out
+    }
+
+    #[test]
+    fn high_tag_numbers_match_the_septet_loop_and_read_back() {
+        let numbers =
+            [30, 31, 127, 128, 16_383, 16_384, (1 << 21) - 1, 1 << 21, (1 << 28) - 1, 1 << 28, u32::MAX];
+        for number in numbers {
+            for class in [Class::Universal, Class::Application, Class::ContextSpecific, Class::Private] {
+                for constructed in [false, true] {
+                    let tag = Tag { class, constructed, number };
+                    let mut w = Writer::new();
+                    w.write_tlv(tag, &[]);
+                    let mut expected = septet_loop_tag_octets(tag);
+                    expected.push(0x00);
+                    assert_eq!(w.as_bytes(), &expected[..], "{tag}");
+                    // The reader takes at most four septets (28 bits), so
+                    // a number from 2^28 up is written but refused on read.
+                    match parse_single(w.as_bytes()) {
+                        Ok(tlv) => assert_eq!(tlv.tag, tag),
+                        Err(e) => {
+                            assert!(number >= 1 << 28, "{tag}: {e:?}");
+                            assert_eq!(e, crate::Error::InvalidTag, "{tag}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn into_bytes_has_no_growth_slack() {
+        let mut long = Writer::new();
+        long.write_sequence(|w| {
+            for i in 0..200u64 {
+                w.write_sequence(|w| w.write_u64(i * 1_000_003));
+            }
+        });
+        let mut short = Writer::new();
+        short.write_null();
+        for der in [Writer::new().into_bytes(), short.into_bytes(), long.into_bytes()] {
+            assert_eq!(der.len(), der.capacity());
+        }
+    }
+
+    #[test]
+    fn constructed_lengths_are_patched_in_place() {
+        for (contents, header) in [
+            (127usize, vec![0x30, 0x7F]),
+            (128, vec![0x30, 0x81, 0x80]),
+            (255, vec![0x30, 0x81, 0xFF]),
+            (256, vec![0x30, 0x82, 0x01, 0x00]),
+            (65_535, vec![0x30, 0x82, 0xFF, 0xFF]),
+            (65_536, vec![0x30, 0x83, 0x01, 0x00, 0x00]),
+        ] {
+            let body: Vec<u8> = (0..contents).map(|i| i as u8).collect();
+            let mut w = Writer::new();
+            w.write_sequence(|w| w.write_raw(&body));
+            let der = w.into_bytes();
+            assert_eq!(&der[..header.len()], &header[..], "{contents}");
+            assert_eq!(&der[header.len()..], &body[..], "{contents}");
+        }
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! recipes are the deterministic [`unicert_corpus::bimi::vector_builder`]
 //! defect shapes.
 //!
-//! Usage: `cargo run -p unicert-corpus --bin gen_golden_vectors`
+//! Usage: `cargo run -p unicert-corpus --bin gen_golden_vectors [outdir]`
+//! (default outdir: the repository's `tests/vectors`; each profile's set
+//! goes to `<outdir>/<profile>/`).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -509,7 +511,9 @@ fn write_profile(out_dir: &PathBuf, profile: &str, registry: &Registry) -> Resul
 }
 
 fn run() -> Result<(), String> {
-    let vectors_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/vectors");
+    let vectors_root = std::env::args().nth(1).map(PathBuf::from).unwrap_or_else(|| {
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/vectors")
+    });
     for profile in profiles::all() {
         let registry = profiles::registry(profile.name)
             .ok_or_else(|| format!("profile {} has no shared registry", profile.name))?;
@@ -522,5 +526,33 @@ fn main() {
     if let Err(e) = run() {
         eprintln!("gen_golden_vectors: {e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A signed certificate's bytes are the envelope around the TBS bytes
+    /// it was signed over; re-encoding the whole model must agree, for
+    /// every recipe and control of every profile.
+    #[test]
+    fn every_recipe_signs_to_its_reencoded_model() {
+        let key = SimKey::from_seed("golden-vector-ca");
+        let mut checked = 0;
+        for profile in profiles::all() {
+            let registry = profiles::registry(profile.name).expect("every profile has a registry");
+            let control = profile_control(profile.name).expect("every profile has a control");
+            let builders = registry
+                .iter()
+                .map(|lint| profile_recipe(profile.name, lint.name).expect("every lint has a recipe"));
+            for builder in std::iter::once(control).chain(builders) {
+                let cert = builder.build_signed(&key);
+                assert_eq!(cert.raw, cert.to_der(), "{}", profile.name);
+                assert_eq!(cert.raw_tbs, cert.tbs.to_der(), "{}", profile.name);
+                checked += 1;
+            }
+        }
+        assert!(checked >= 112, "{checked}");
     }
 }

@@ -6,13 +6,16 @@ use crate::defects::{self, Defect};
 use crate::issuers::{self, IssuancePolicy, IssuerProfile, TrustStatus};
 use crate::subjects;
 use crate::trend::{self, CertClass};
+use crate::trust;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use unicert_asn1::oid::known;
 use unicert_asn1::{DateTime, StringKind};
 use unicert_x509::extensions::{authority_info_access, AccessDescription};
-use unicert_x509::{Certificate, CertView, CertificateBuilder, GeneralName, SimKey};
+use unicert_x509::value::lossy_text;
+use unicert_x509::{
+    Certificate, CertView, CertificateBuilder, DistinguishedName, Extension, GeneralName, SimKey,
+};
 
 /// Generator configuration.
 #[derive(Debug, Clone)]
@@ -138,24 +141,56 @@ pub struct RawEntry<'a> {
 pub struct CorpusGenerator {
     config: CorpusConfig,
     rng: SmallRng,
-    population: Vec<IssuerProfile>,
+    issuers: Vec<Issuer>,
     share_total: f64,
-    keys: HashMap<&'static str, SimKey>,
+    /// [`defects::LATENT_WEIGHTS`] with each defect's lint effective date.
+    latent: Vec<(Defect, u32, DateTime)>,
     produced: usize,
     pending_precert: Option<CorpusEntry>,
+}
+
+/// One issuer of the population with the parts of its certificates that
+/// depend only on its profile, built once per generator.
+struct Issuer {
+    profile: IssuerProfile,
+    /// The issuer DN its leaves carry ([`trust::issuer_dn`]).
+    dn: DistinguishedName,
+    /// The AuthorityInfoAccess extension naming its CA certificate.
+    aia: Extension,
+    key: SimKey,
+}
+
+impl Issuer {
+    fn new(profile: IssuerProfile) -> Issuer {
+        let slug = profile.org_name.to_lowercase().replace([' ', ',', '.', '\''], "-");
+        Issuer {
+            dn: trust::issuer_dn(&profile),
+            aia: authority_info_access(&[AccessDescription {
+                method: known::ad_ca_issuers(),
+                location: GeneralName::uri(&format!("http://ca.{slug}.example/issuer.crt")),
+            }]),
+            key: SimKey::from_seed(profile.org_name),
+            profile,
+        }
+    }
 }
 
 impl CorpusGenerator {
     /// Create a generator for the given configuration.
     pub fn new(config: CorpusConfig) -> CorpusGenerator {
-        let population = issuers::population();
-        let share_total = population.iter().map(|p| p.share).sum();
+        let issuers: Vec<Issuer> = issuers::population().into_iter().map(Issuer::new).collect();
+        let share_total = issuers.iter().map(|i| i.profile.share).sum();
+        let registry = crate::lint_registry();
+        let latent = defects::LATENT_WEIGHTS
+            .iter()
+            .filter_map(|&(d, w)| registry.get(d.expected_lint()).map(|l| (d, w, l.effective_date())))
+            .collect();
         CorpusGenerator {
             rng: SmallRng::seed_from_u64(config.seed),
             config,
-            population,
+            issuers,
             share_total,
-            keys: HashMap::new(),
+            latent,
             produced: 0,
             pending_precert: None,
         }
@@ -167,35 +202,9 @@ impl CorpusGenerator {
         CorpusGenerator::new(config).collect()
     }
 
-    fn pick_issuer(&mut self) -> IssuerProfile {
-        let mut pick = self.rng.gen_range(0.0..self.share_total);
-        for p in &self.population {
-            if pick < p.share {
-                return p.clone();
-            }
-            pick -= p.share;
-        }
-        self.population.last().expect("population non-empty").clone() // analysis:allow(expect) issuer population is a static non-empty table
-    }
-
-    fn issuer_key(&mut self, org: &'static str) -> SimKey {
-        self.keys
-            .entry(org)
-            .or_insert_with(|| SimKey::from_seed(org))
-            .clone()
-    }
-
-    fn issuer_dn(profile: &IssuerProfile) -> unicert_x509::DistinguishedName {
-        let ca_cn = format!("{} Unicert CA", profile.org_name);
-        unicert_x509::DistinguishedName::from_attributes(&[
-            (known::country_name(), StringKind::Printable, profile.region),
-            (known::organization_name(), StringKind::Utf8, profile.org_name),
-            (known::common_name(), StringKind::Utf8, ca_cn.as_str()),
-        ])
-    }
-
     fn next_entry(&mut self) -> CorpusEntry {
-        let profile = self.pick_issuer();
+        let issuer = pick_issuer(&mut self.rng, &self.issuers, self.share_total);
+        let profile = &issuer.profile;
         let year = trend::sample_year(&mut self.rng, profile.active.0, profile.active.1);
         let issued = trend::sample_date(&mut self.rng, year);
 
@@ -232,7 +241,7 @@ impl CorpusGenerator {
             };
             (Some(defects::sample(&mut self.rng, table)), false)
         } else if self.config.latent_defects {
-            self.latent_defect(&profile, issued)
+            latent_defect(&mut self.rng, &self.latent, profile, issued)
         } else {
             (None, false)
         };
@@ -253,16 +262,10 @@ impl CorpusGenerator {
         serial[0] |= 0x01; // never zero
         let mut builder = CertificateBuilder::new()
             .serial(&serial)
-            .issuer(Self::issuer_dn(&profile))
+            .issuer(issuer.dn.clone())
             .validity_days(issued, validity_days)
             .add_dns_san(&host)
-            .add_extension(authority_info_access(&[AccessDescription {
-                method: known::ad_ca_issuers(),
-                location: GeneralName::uri(&format!(
-                    "http://ca.{}.example/issuer.crt",
-                    profile.org_name.to_lowercase().replace([' ', ',', '.', '\''], "-")
-                )),
-            }]));
+            .add_extension(issuer.aia.clone());
 
         match profile.policy {
             IssuancePolicy::IdnOnly => {
@@ -292,13 +295,13 @@ impl CorpusGenerator {
             builder = defects::apply(d, builder, org, &host, &mut self.rng);
         }
 
-        let key = self.issuer_key(profile.org_name);
-        let cert = builder.build_signed(&key);
-        let is_idn_cert = cert
-            .tbs
-            .san_dns_names()
-            .iter()
-            .any(|h| subjects::is_idn(h));
+        // The built SAN is the builder's list, so its DNSNames are read
+        // there instead of being parsed back out of the certificate.
+        let is_idn_cert = builder.san_entries().iter().any(|name| match name {
+            GeneralName::DnsName(v) => subjects::is_idn(&lossy_text(v.tag_number, &v.bytes)),
+            _ => false,
+        });
+        let cert = builder.build_signed(&issuer.key);
 
         CorpusEntry {
             cert,
@@ -314,42 +317,54 @@ impl CorpusGenerator {
             },
         }
     }
+}
 
-    /// Pick a latent defect: one whose *only* violated lint has an
-    /// effective date after the issuance date. Rates are tuned so that
-    /// disabling date gating inflates total findings by roughly the
-    /// paper's 7× (the footnote-4 ablation).
-    fn latent_defect(&mut self, profile: &IssuerProfile, issued: DateTime) -> (Option<Defect>, bool) {
-        if profile.policy == IssuancePolicy::IdnOnly {
-            // Automated DV issuers have no free-form subject fields to
-            // carry latent text defects.
-            return (None, false);
+/// Draw an issuer, weighted by its share of issuance.
+fn pick_issuer<'a>(rng: &mut SmallRng, issuers: &'a [Issuer], share_total: f64) -> &'a Issuer {
+    let mut pick = rng.gen_range(0.0..share_total);
+    for issuer in issuers {
+        if pick < issuer.profile.share {
+            return issuer;
         }
-        // Calibrated against the footnote-4 ablation target (≈7× inflation).
-        let rate = match issued.year {
-            ..=2017 => 0.30,
-            2018..=2023 => 0.17,
-            _ => 0.0,
-        };
-        if rate == 0.0 || !self.rng.gen_bool(rate) {
-            return (None, false);
-        }
-        let registry = crate::lint_registry();
-        let latent_table: Vec<(Defect, u32)> = defects::LATENT_WEIGHTS
-            .iter()
-            .copied()
-            .filter(|(d, _)| {
-                registry
-                    .get(d.expected_lint())
-                    .map(|l| issued < l.effective_date())
-                    .unwrap_or(false)
-            })
-            .collect();
-        if latent_table.is_empty() {
-            return (None, false);
-        }
-        (Some(defects::sample(&mut self.rng, &latent_table)), true)
+        pick -= issuer.profile.share;
     }
+    issuers.last().expect("population non-empty") // analysis:allow(expect) issuer population is a static non-empty table
+}
+
+/// Pick a latent defect: one whose *only* violated lint has an effective
+/// date after the issuance date. Rates are tuned so that disabling date
+/// gating inflates total findings by roughly the paper's 7× (the
+/// footnote-4 ablation). `latent` is [`defects::LATENT_WEIGHTS`] with each
+/// defect's lint effective date.
+fn latent_defect(
+    rng: &mut SmallRng,
+    latent: &[(Defect, u32, DateTime)],
+    profile: &IssuerProfile,
+    issued: DateTime,
+) -> (Option<Defect>, bool) {
+    if profile.policy == IssuancePolicy::IdnOnly {
+        // Automated DV issuers have no free-form subject fields to
+        // carry latent text defects.
+        return (None, false);
+    }
+    // Calibrated against the footnote-4 ablation target (≈7× inflation).
+    let rate = match issued.year {
+        ..=2017 => 0.30,
+        2018..=2023 => 0.17,
+        _ => 0.0,
+    };
+    if rate == 0.0 || !rng.gen_bool(rate) {
+        return (None, false);
+    }
+    let latent_table: Vec<(Defect, u32)> = latent
+        .iter()
+        .filter(|&&(_, _, effective)| issued < effective)
+        .map(|&(d, w, _)| (d, w))
+        .collect();
+    if latent_table.is_empty() {
+        return (None, false);
+    }
+    (Some(defects::sample(rng, &latent_table)), true)
 }
 
 /// Cached handle for the `corpus.generate_ns` histogram (DESIGN.md §8) —
@@ -412,19 +427,8 @@ fn expected_nc_factor(lo: i32, hi: i32) -> f64 {
 fn make_precert_twin(entry: &CorpusEntry) -> CorpusEntry {
     let mut tbs = entry.cert.tbs.clone();
     tbs.extensions.insert(0, unicert_x509::extensions::ct_poison());
-    let raw_tbs = tbs.to_der();
-    let key = SimKey::from_seed(&entry.meta.issuer_org);
-    let signature = key.sign(&raw_tbs);
-    let cert = Certificate {
-        tbs,
-        signature_algorithm: entry.cert.signature_algorithm.clone(),
-        signature: unicert_asn1::BitString::from_bytes(&signature),
-        raw_tbs,
-        raw: Vec::new(),
-    };
-    let raw = cert.to_der();
     CorpusEntry {
-        cert: Certificate { raw, ..cert },
+        cert: Certificate::sign(tbs, &SimKey::from_seed(&entry.meta.issuer_org)),
         meta: CertMeta { is_precert: true, ..entry.meta.clone() },
     }
 }
@@ -466,6 +470,28 @@ mod tests {
                 });
             let idn = e.meta.is_idn_cert;
             assert!(subject_unicode || idn, "not a Unicert: {:?}", e.cert.tbs.subject);
+        }
+    }
+
+    #[test]
+    fn signed_encoding_equals_the_model_reencoded() {
+        // Certificates are encoded around the TBS bytes they were signed
+        // over; re-encoding the whole model must give the same bytes, for
+        // leaves and for precertificate twins.
+        let corpus = CorpusGenerator::collect_all(CorpusConfig {
+            size: 2_000,
+            seed: 24,
+            precert_fraction: 0.1,
+            latent_defects: true,
+        });
+        assert!(corpus.iter().any(|e| e.meta.is_precert));
+        for (i, e) in corpus.iter().enumerate() {
+            assert_eq!(e.cert.raw, e.cert.to_der(), "entry {i}");
+            assert_eq!(e.cert.raw_tbs, e.cert.tbs.to_der(), "entry {i}");
+            // The IDN flag read off the builder's SAN list agrees with the
+            // SAN parsed back out of the certificate.
+            let parsed = e.cert.tbs.san_dns_names().iter().any(|h| subjects::is_idn(h));
+            assert_eq!(e.meta.is_idn_cert, parsed, "entry {i}");
         }
     }
 

@@ -8,8 +8,8 @@ use unicert_asn1::{DateTime, StringKind};
 use unicert_x509::chain::{self, TrustStore};
 use unicert_x509::{Certificate, DistinguishedName, SimKey};
 
-/// The issuer DN the corpus generator signs leaves under (must match
-/// `CorpusGenerator::issuer_dn`).
+/// The issuer DN of one issuer's CA certificate, which the corpus
+/// generator also puts in every leaf that issuer signs.
 pub fn issuer_dn(profile: &IssuerProfile) -> DistinguishedName {
     let ca_cn = format!("{} Unicert CA", profile.org_name);
     DistinguishedName::from_attributes(&[

@@ -137,6 +137,12 @@ impl CertificateBuilder {
         self
     }
 
+    /// The SubjectAltName entries added so far, in order: the SAN the
+    /// built certificate carries.
+    pub fn san_entries(&self) -> &[GeneralName] {
+        &self.san
+    }
+
     /// Add a raw extension.
     pub fn add_extension(mut self, ext: Extension) -> Self {
         self.extensions.push(ext);
@@ -167,23 +173,27 @@ impl CertificateBuilder {
     /// Build and sign with the issuer's key. The subject's simulated key is
     /// derived from the subject DER (deterministic corpora).
     pub fn build_signed(&self, issuer_key: &SimKey) -> Certificate {
-        let subject_key = SimKey::from_seed(&format!(
-            "subject:{:02x?}",
-            self.subject.to_der()
-        ));
-        let tbs = self.build_tbs(&subject_key);
-        let raw_tbs = tbs.to_der();
-        let signature = issuer_key.sign(&raw_tbs);
-        let cert = Certificate {
-            tbs,
-            signature_algorithm: AlgorithmIdentifier::sim_signature(),
-            signature: BitString::from_bytes(&signature),
-            raw_tbs,
-            raw: Vec::new(),
-        };
-        let raw = cert.to_der();
-        Certificate { raw, ..cert }
+        let subject_key = SimKey::from_seed(&subject_seed(&self.subject.to_der()));
+        Certificate::sign(self.build_tbs(&subject_key), issuer_key)
     }
+}
+
+/// The subject-key seed: `subject:` followed by the subject DER as
+/// `format!("{:02x?}", der)` renders it (`[30, 0c, …]`), written without
+/// going through the formatter.
+fn subject_seed(der: &[u8]) -> String {
+    let hex = |nibble: u8| char::from(if nibble < 10 { b'0' + nibble } else { b'a' + nibble - 10 });
+    let mut seed = String::with_capacity(10 + 4 * der.len());
+    seed.push_str("subject:[");
+    for (i, &b) in der.iter().enumerate() {
+        if i > 0 {
+            seed.push_str(", ");
+        }
+        seed.push(hex(b >> 4));
+        seed.push(hex(b & 0x0F));
+    }
+    seed.push(']');
+    seed
 }
 
 #[cfg(test)]
@@ -219,6 +229,19 @@ mod tests {
         assert_eq!(org.bytes, b"Evil\x00Org");
         let cn = parsed.tbs.subject.first_value(&known::common_name()).unwrap();
         assert_eq!(cn.kind(), Some(StringKind::Bmp));
+    }
+
+    #[test]
+    fn subject_seed_matches_the_formatter() {
+        let every_byte: Vec<u8> = (0..=255).collect();
+        assert_eq!(subject_seed(&every_byte), format!("subject:{:02x?}", every_byte));
+        for b in 0..=255u8 {
+            assert_eq!(subject_seed(&[b]), format!("subject:{:02x?}", [b]));
+        }
+        for len in 0..=300usize {
+            let der: Vec<u8> = (0..len).map(|i| (i * 97 + len) as u8).collect();
+            assert_eq!(subject_seed(&der), format!("subject:{:02x?}", der), "len {len}");
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use crate::extensions::{Extension, ParsedExtension};
 use crate::general_name::GeneralName;
 use crate::name::DistinguishedName;
+use crate::sign::SimKey;
 use crate::view::CertView;
 use unicert_asn1::oid::known;
 use unicert_asn1::tag::{tags, Tag};
@@ -232,23 +233,43 @@ impl Certificate {
         CertView::parse_der_budgeted(der, &state).map(|view| view.to_owned())
     }
 
+    /// Sign `tbs` with `issuer_key` under the simulated signature
+    /// algorithm. The TBS is encoded once: that encoding is what is signed,
+    /// kept as `raw_tbs` and carried inside `raw`.
+    pub fn sign(tbs: TbsCertificate, issuer_key: &SimKey) -> Certificate {
+        let raw_tbs = tbs.to_der();
+        let signature_algorithm = AlgorithmIdentifier::sim_signature();
+        let signature = BitString::from_bytes(&issuer_key.sign(&raw_tbs));
+        let raw = encode_envelope(&raw_tbs, &signature_algorithm, &signature);
+        Certificate { tbs, signature_algorithm, signature, raw_tbs, raw }
+    }
+
     /// Encode to DER (reconstructs from the model, not `raw`).
     pub fn to_der(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.write_sequence(|w| {
-            w.write_raw(&self.tbs.to_der());
-            self.signature_algorithm.write_to(w);
-            w.write_tlv(tags::BIT_STRING, &self.signature.to_der_value());
-        });
-        w.into_bytes()
+        encode_envelope(&self.tbs.to_der(), &self.signature_algorithm, &self.signature)
     }
+}
+
+/// The certificate envelope around an encoded TBS:
+/// `SEQUENCE { tbsCertificate, signatureAlgorithm, signatureValue }`.
+fn encode_envelope(
+    raw_tbs: &[u8],
+    signature_algorithm: &AlgorithmIdentifier,
+    signature: &BitString,
+) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.write_sequence(|w| {
+        w.write_raw(raw_tbs);
+        signature_algorithm.write_to(w);
+        w.write_tlv(tags::BIT_STRING, &signature.to_der_value());
+    });
+    w.into_bytes()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::CertificateBuilder;
-    use crate::sign::SimKey;
     use unicert_asn1::Error;
 
     fn sample() -> Certificate {

@@ -73,15 +73,25 @@ impl Sha256 {
     }
 
     /// Finish and produce the 32-byte digest.
+    ///
+    /// The padding is written into the last block directly: `0x80`, zeros
+    /// up to the 56th byte (spilling into one more block when fewer than
+    /// nine bytes are free) and the message length in bits, big-endian.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
+        let mut block = self.buffer;
+        let mut fill = block.iter_mut().skip(self.buffered);
+        if let Some(marker) = fill.next() {
+            *marker = 0x80;
         }
-        // Length is appended manually (update would recount it).
-        self.total_len = self.total_len.wrapping_sub(8); // neutralize the count below
-        self.update(&bit_len.to_be_bytes());
+        fill.for_each(|b| *b = 0);
+        if self.buffered >= 56 {
+            self.compress(&block);
+            block = [0; 64];
+        }
+        let (_, length) = block.split_at_mut(56);
+        length.copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
         let mut out = [0u8; 32];
         for (chunk, word) in out.chunks_exact_mut(4).zip(self.state.iter()) {
             chunk.copy_from_slice(&word.to_be_bytes());
@@ -155,6 +165,41 @@ mod tests {
         _hex(bytes)
     }
 
+    /// `finalize` as it was before it padded in one step: one `update`
+    /// call per padding byte, then the length with its own count undone.
+    fn byte_at_a_time_finalize(mut h: Sha256) -> [u8; 32] {
+        let bit_len = h.total_len.wrapping_mul(8);
+        h.update(&[0x80]);
+        while h.buffered != 56 {
+            h.update(&[0]);
+        }
+        h.total_len = h.total_len.wrapping_sub(8);
+        h.update(&bit_len.to_be_bytes());
+        let mut out = [0u8; 32];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(h.state.iter()) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn one_step_padding_matches_byte_at_a_time_padding() {
+        // Every length 0–200 covers each buffered count 0–63 and both the
+        // one-block (< 56 buffered) and two-block (≥ 56) padding cases.
+        // Fed in 7-byte pieces, the buffer's tail still holds bytes of an
+        // earlier block, which the zero fill must overwrite.
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 131 + 7) as u8).collect();
+        for len in 0..=200 {
+            let mut whole = Sha256::new();
+            whole.update(&data[..len]);
+            let mut pieces = Sha256::new();
+            data[..len].chunks(7).for_each(|piece| pieces.update(piece));
+            let expected = byte_at_a_time_finalize(whole.clone());
+            assert_eq!(whole.finalize(), expected, "len {len}");
+            assert_eq!(pieces.finalize(), expected, "len {len}, 7-byte pieces");
+        }
+    }
+
     #[test]
     fn nist_vectors() {
         assert_eq!(
@@ -168,6 +213,12 @@ mod tests {
         assert_eq!(
             hex(&sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        );
+        assert_eq!(
+            hex(&sha256(
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
+            )),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
         );
     }
 
