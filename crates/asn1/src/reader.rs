@@ -143,6 +143,12 @@ impl Span {
         self.offset.saturating_add(self.len)
     }
 
+    /// The bytes of `whole` in this range (the inverse of
+    /// [`Span::within`]); empty when the range reaches past its end.
+    pub fn slice<'a>(&self, whole: &'a [u8]) -> &'a [u8] {
+        whole.get(self.offset..self.end()).unwrap_or_default()
+    }
+
     /// True when `other` lies entirely within this range.
     pub fn contains(&self, other: &Span) -> bool {
         other.offset >= self.offset && other.end() <= self.end()
@@ -426,8 +432,10 @@ fn decode_tag(input: &[u8]) -> Result<(Tag, usize)> {
     if low < 31 {
         return Ok((Tag { class, constructed, number: u32::from(low) }, 1));
     }
+    // Up to five septets, the most a `u32` needs (the form `Writer` emits);
+    // a number past `u32::MAX` overflows the shift below.
     let mut n: u32 = 0;
-    for (octet, &b) in rest.iter().take(4).enumerate() {
+    for (octet, &b) in rest.iter().take(5).enumerate() {
         if octet == 0 && b == 0x80 {
             return Err(Error::InvalidTag); // non-minimal
         }
@@ -440,8 +448,8 @@ fn decode_tag(input: &[u8]) -> Result<(Tag, usize)> {
         }
     }
     // Every octet present carried the continuation bit: the input ended
-    // inside the tag, or the tag is longer than four octets.
-    if rest.len() < 4 {
+    // inside the tag, or the tag is longer than five octets.
+    if rest.len() < 5 {
         Err(Error::UnexpectedEof { needed: 1 })
     } else {
         Err(Error::InvalidTag)
@@ -517,15 +525,18 @@ mod tests {
 
     #[test]
     fn peek_tag_agrees_with_read_tlv() {
-        let headers: [&[u8]; 9] = [
-            &[0x02, 0x01, 0x05],                   // low form
-            &[0x9F, 0x64, 0x00],                   // [100], high form
-            &[0xBF, 0x81, 0x00, 0x00],             // [128], two octets
-            &[0x9F, 0xFF, 0xFF, 0xFF, 0x7F, 0x00], // four octets, the most allowed
-            &[0x9F, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F], // five octets
-            &[0x9F, 0x80, 0x64, 0x00],             // non-minimal
-            &[0x9F, 0x05, 0x00],                   // high form below 31
-            &[0x30, 0x80, 0x00, 0x00],             // good tag, bad length
+        let headers: [&[u8]; 12] = [
+            &[0x02, 0x01, 0x05],                         // low form
+            &[0x9F, 0x64, 0x00],                         // [100], high form
+            &[0xBF, 0x81, 0x00, 0x00],                   // [128], two octets
+            &[0x9F, 0xFF, 0xFF, 0xFF, 0x7F, 0x00],       // [2^28 - 1], four octets
+            &[0x9F, 0x81, 0x80, 0x80, 0x80, 0x00, 0x00], // [2^28], five octets
+            &[0x9F, 0x8F, 0xFF, 0xFF, 0xFF, 0x7F, 0x00], // [u32::MAX], five octets
+            &[0x9F, 0x90, 0x80, 0x80, 0x80, 0x00, 0x00], // [u32::MAX + 1]
+            &[0x9F, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F],       // five octets, past u32
+            &[0x9F, 0x80, 0x64, 0x00],                   // non-minimal
+            &[0x9F, 0x05, 0x00],                         // high form below 31
+            &[0x30, 0x80, 0x00, 0x00],                   // good tag, bad length
             &[],
         ];
         for header in headers {
@@ -555,6 +566,35 @@ mod tests {
         // High form used for a number < 31.
         let der = [0x9F, 0x05, 0x00];
         assert_eq!(parse_single(&der).unwrap_err(), Error::InvalidTag);
+    }
+
+    #[test]
+    fn five_septet_tags_read_up_to_u32_max() {
+        // Tag numbers that need all five septets, written by the writer's
+        // own rule (`put_base128`), read back to the same tag.
+        for (der, number) in [
+            (&[0x9F, 0x81, 0x80, 0x80, 0x80, 0x00, 0x00][..], 1u32 << 28),
+            (&[0xBF, 0x8F, 0xFF, 0xFF, 0xFF, 0x7F, 0x00][..], u32::MAX),
+        ] {
+            let tlv = parse_single(der).unwrap();
+            assert_eq!(tlv.tag.number, number);
+            assert_eq!(Reader::new(der).peek_tag(), Some(tlv.tag));
+        }
+        // u32::MAX + 1 and anything longer: past the number a tag holds.
+        for der in [
+            &[0x9F, 0x90, 0x80, 0x80, 0x80, 0x00, 0x00][..],
+            &[0x9F, 0x81, 0x80, 0x80, 0x80, 0x80, 0x00, 0x00][..],
+        ] {
+            assert_eq!(parse_single(der).unwrap_err(), Error::InvalidTag, "{der:02x?}");
+            assert_eq!(Reader::new(der).peek_tag(), None, "{der:02x?}");
+        }
+        // A 0x80-led number is non-minimal at any length, five septets too.
+        let der = [0x9F, 0x80, 0x8F, 0xFF, 0xFF, 0x7F, 0x00];
+        assert_eq!(parse_single(&der).unwrap_err(), Error::InvalidTag);
+        assert_eq!(Reader::new(&der).peek_tag(), None);
+        // The input ending inside a five-septet tag is a truncation.
+        let der = [0x9F, 0x8F, 0xFF, 0xFF, 0xFF];
+        assert_eq!(parse_single(&der).unwrap_err(), Error::UnexpectedEof { needed: 1 });
     }
 
     #[test]

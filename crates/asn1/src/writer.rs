@@ -65,17 +65,18 @@ impl Writer {
         self.out.extend_from_slice(der);
     }
 
-    /// Write a constructed element whose contents are produced by `f`.
+    /// Write a constructed element whose contents are produced by `f`,
+    /// returning what `f` returns.
     ///
     /// `f` writes into this writer's own buffer, after the tag and one
     /// reserved length octet; the length is patched in afterwards, and when
     /// the contents reach 128 bytes the extra length octets are spliced in
     /// before them.
-    pub fn write_constructed(&mut self, tag: Tag, f: impl FnOnce(&mut Writer)) {
+    pub fn write_constructed<R>(&mut self, tag: Tag, f: impl FnOnce(&mut Writer) -> R) -> R {
         self.write_tag(tag);
         let at = self.out.len();
         self.out.push(0);
-        f(self);
+        let result = f(self);
         let end = self.out.len();
         let (header, used) = length_octets(end.saturating_sub(at + 1));
         if used > 1 {
@@ -86,11 +87,12 @@ impl Writer {
         for (slot, &b) in self.out.iter_mut().skip(at).zip(header.iter().take(used)) {
             *slot = b;
         }
+        result
     }
 
     /// Write a SEQUENCE whose contents are produced by `f`.
-    pub fn write_sequence(&mut self, f: impl FnOnce(&mut Writer)) {
-        self.write_constructed(tags::SEQUENCE, f);
+    pub fn write_sequence<R>(&mut self, f: impl FnOnce(&mut Writer) -> R) -> R {
+        self.write_constructed(tags::SEQUENCE, f)
     }
 
     /// Write a SET whose contents are produced by `f`.
@@ -98,8 +100,8 @@ impl Writer {
     /// Note: DER requires SET OF contents sorted by encoding; X.509 RDN SETs
     /// almost always hold a single element, so sorting is the caller's
     /// responsibility when it matters.
-    pub fn write_set(&mut self, f: impl FnOnce(&mut Writer)) {
-        self.write_constructed(tags::SET, f);
+    pub fn write_set<R>(&mut self, f: impl FnOnce(&mut Writer) -> R) -> R {
+        self.write_constructed(tags::SET, f)
     }
 
     /// Write `NULL`.
@@ -264,15 +266,7 @@ mod tests {
                     let mut expected = septet_loop_tag_octets(tag);
                     expected.push(0x00);
                     assert_eq!(w.as_bytes(), &expected[..], "{tag}");
-                    // The reader takes at most four septets (28 bits), so
-                    // a number from 2^28 up is written but refused on read.
-                    match parse_single(w.as_bytes()) {
-                        Ok(tlv) => assert_eq!(tlv.tag, tag),
-                        Err(e) => {
-                            assert!(number >= 1 << 28, "{tag}: {e:?}");
-                            assert_eq!(e, crate::Error::InvalidTag, "{tag}");
-                        }
-                    }
+                    assert_eq!(parse_single(w.as_bytes()).map(|tlv| tlv.tag), Ok(tag));
                 }
             }
         }

@@ -28,9 +28,9 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use unicert::lint::{self, Finding, RunOptions};
+use unicert::lint::{self, Finding, LintContext, RunOptions};
 use unicert::telemetry::snapshot::escape_json;
-use unicert::x509::Certificate;
+use unicert::x509::CertView;
 use unicert_bench::cli::{self, OutputFormat, Records};
 use unicert_bench::flag_arg;
 
@@ -49,10 +49,14 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Lint one certificate with evidence capture on.
-fn run_with_evidence(registry: &lint::Registry, cert: &Certificate) -> Vec<Finding> {
+/// Lint one certificate's DER with evidence capture on; exits when `der`
+/// (read from `name`) does not parse.
+fn run_with_evidence(registry: &lint::Registry, name: &str, der: &[u8]) -> Vec<Finding> {
+    let view = CertView::parse_der(der)
+        .unwrap_or_else(|e| fail(&format!("{name} does not parse: {e}")));
+    let ctx = LintContext::with_evidence(&view);
     let opts = RunOptions { evidence: true, ..RunOptions::default() };
-    registry.run(cert, opts).findings
+    registry.run_ctx(&ctx, opts).findings
 }
 
 /// Is every finding anchored by at least one non-empty span inside the
@@ -170,9 +174,7 @@ fn explain_one(path: &str, format: OutputFormat) {
     let profile = flag_arg("--profile").unwrap_or_else(|| lint::DEFAULT_PROFILE.to_string());
     let registry = lint::profiles::registry(&profile)
         .unwrap_or_else(|| fail(&format!("unknown profile {profile:?}")));
-    let cert = Certificate::parse_der(&der)
-        .unwrap_or_else(|e| fail(&format!("{path} does not parse: {e}")));
-    let findings = run_with_evidence(registry, &cert);
+    let findings = run_with_evidence(registry, path, &der);
     match format {
         OutputFormat::Json => print!("{}", vector_json(path, &profile, der.len(), &findings)),
         OutputFormat::Tsv => {
@@ -237,9 +239,7 @@ fn explain_vectors(dir: &str, format: OutputFormat) {
             let name = vector.display().to_string();
             let der = std::fs::read(&vector)
                 .unwrap_or_else(|e| fail(&format!("cannot read {name}: {e}")));
-            let cert = Certificate::parse_der(&der)
-                .unwrap_or_else(|e| fail(&format!("{name} does not parse: {e}")));
-            let findings = run_with_evidence(registry, &cert);
+            let findings = run_with_evidence(registry, &name, &der);
             rows.push(SweepRow {
                 profile: profile.clone(),
                 vector: name,

@@ -21,7 +21,9 @@ fn main() {
     let mut aia_present = 0usize;
 
     for entry in CorpusGenerator::new(config) {
-        let report = registry.run(&entry.cert, RunOptions::default());
+        let report = registry
+            .run(&entry.cert, RunOptions::default())
+            .expect("a generated certificate's DER parses");
         let enc_findings: Vec<_> = report
             .findings
             .iter()

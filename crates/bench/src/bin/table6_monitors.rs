@@ -88,6 +88,7 @@ fn main() {
         }
         if registry
             .run(&entry.cert, unicert::lint::RunOptions::default())
+            .expect("a generated certificate's DER parses")
             .is_noncompliant()
         {
             sampled.push(entry.cert);

@@ -61,7 +61,7 @@ fn every_golden_vector_finding_carries_an_in_bounds_span() {
         let registry = lint::profiles::registry(&profile).expect("profile registry");
         let cert = Certificate::parse_der(&der)
             .unwrap_or_else(|e| panic!("{}: parse failed: {e:?}", path.display()));
-        for finding in registry.run(&cert, opts).findings {
+        for finding in registry.run(&cert, opts).unwrap().findings {
             findings_seen += 1;
             assert!(
                 !finding.evidence.is_empty(),
@@ -95,7 +95,7 @@ fn explain_json_round_trips_spans_per_vector() {
         .find(|(profile, _, der)| {
             let registry = lint::profiles::registry(profile).expect("profile registry");
             Certificate::parse_der(der)
-                .is_ok_and(|cert| !registry.run(&cert, opts).findings.is_empty())
+                .is_ok_and(|cert| !registry.run(&cert, opts).unwrap().findings.is_empty())
         })
         .expect("a vector with findings");
     let output = Command::new(env!("CARGO_BIN_EXE_explain"))

@@ -13,10 +13,11 @@
 //! Exit status: 0 = all compliant, 1 = findings, 2 = usage/parse error.
 
 use unicert::asn1::ParseBudget;
-use unicert::lint::{RunOptions, Severity};
-use unicert::x509::{pem, Certificate};
+use unicert::lint::{LintContext, RunOptions, Severity};
+use unicert::x509::{pem, CertView, Certificate};
 
-fn load_certificate(path: &str) -> Result<Certificate, String> {
+/// The DER of the one certificate in `path` (DER or PEM), not yet parsed.
+fn load_der(path: &str) -> Result<Vec<u8>, String> {
     let budget = ParseBudget::default();
     let data = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     if data.is_empty() {
@@ -33,17 +34,16 @@ fn load_certificate(path: &str) -> Result<Certificate, String> {
             budget.max_input
         ));
     }
-    let der = if data.starts_with(b"-----BEGIN") || data.windows(10).take(200).any(|w| w == b"-----BEGIN") {
+    if data.starts_with(b"-----BEGIN") || data.windows(10).take(200).any(|w| w == b"-----BEGIN") {
         let text = String::from_utf8_lossy(&data);
         let (label, der) = pem::decode(&text).map_err(|e| format!("{path}: PEM: {e}"))?;
         if label != "CERTIFICATE" {
             return Err(format!("{path}: unexpected PEM label {label:?}"));
         }
-        der
+        Ok(der)
     } else {
-        data
-    };
-    Certificate::parse_der_budgeted(&der, &budget).map_err(|e| format!("{path}: DER: {e}"))
+        Ok(data)
+    }
 }
 
 fn demo_certificate() -> Certificate {
@@ -62,14 +62,20 @@ fn demo_certificate() -> Certificate {
         .build_signed(&SimKey::from_seed("demo-ca"))
 }
 
-fn lint_one(name: &str, cert: &Certificate, opts: RunOptions, quiet: bool) -> usize {
+/// Lint and classify `der` through one context over its budgeted view
+/// parse; the count of findings, or the parse error.
+fn lint_one(name: &str, der: &[u8], opts: RunOptions, quiet: bool) -> Result<usize, String> {
     let registry = unicert::lint::profiles::registry(opts.effective_profile())
         .unwrap_or_else(unicert::corpus::lint_registry);
-    let report = registry.run(cert, opts);
-    let class = unicert::classify::classify(cert);
+    let state = ParseBudget::default().start();
+    let view =
+        CertView::parse_der_budgeted(der, &state).map_err(|e| format!("{name}: DER: {e}"))?;
+    let ctx = LintContext::from_view(&view);
+    let class = unicert::classify::classify_ctx(&ctx);
+    let report = registry.run_ctx(&ctx, opts);
     println!(
         "{name}: subject={:?} unicert={} idn={} findings={}",
-        cert.tbs.subject.common_name().unwrap_or_default(),
+        view.subject.common_name().unwrap_or_default(),
         class.is_unicert(),
         class.is_idn_cert(),
         report.findings.len()
@@ -83,7 +89,7 @@ fn lint_one(name: &str, cert: &Certificate, opts: RunOptions, quiet: bool) -> us
             println!("  {sev} [{}] {}", f.nc_type.label(), f.lint);
         }
     }
-    report.findings.len()
+    Ok(report.findings.len())
 }
 
 fn main() {
@@ -132,17 +138,20 @@ fn main() {
     }
 
     let mut findings = 0usize;
-    if demo {
-        findings += lint_one("demo", &demo_certificate(), opts, quiet);
-    }
-    for path in &paths {
-        match load_certificate(path) {
-            Ok(cert) => findings += lint_one(path, &cert, opts, quiet),
+    let mut lint = |name: &str, der: Result<Vec<u8>, String>| {
+        match der.and_then(|der| lint_one(name, &der, opts, quiet)) {
+            Ok(n) => findings += n,
             Err(e) => {
                 eprintln!("error: {e}");
                 std::process::exit(2);
             }
         }
+    };
+    if demo {
+        lint("demo", Ok(demo_certificate().raw));
+    }
+    for path in &paths {
+        lint(path, load_der(path));
     }
     std::process::exit(if findings == 0 { 0 } else { 1 });
 }

@@ -9,7 +9,7 @@ use unicert_asn1::oid::known;
 use unicert_lint::helpers::Which;
 use unicert_lint::LintContext;
 use unicert_x509::value::wire_text;
-use unicert_x509::{Certificate, GeneralName};
+use unicert_x509::{CertView, Certificate, GeneralName};
 
 /// Classification of one certificate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,9 +57,13 @@ fn classify_name(name: &GeneralName) -> (bool, bool) {
     (value_has_unicode(&v.bytes), idn)
 }
 
-/// Classify a certificate.
-pub fn classify(cert: &Certificate) -> UnicertClass {
-    classify_ctx(&LintContext::from_view(&cert.view()))
+/// Classify a certificate through the view parsed from its
+/// [`Certificate::raw`]; a certificate whose `raw` does not parse comes
+/// back as the parse error.
+pub fn classify(cert: &Certificate) -> unicert_asn1::Result<UnicertClass> {
+    let view = CertView::parse_der(&cert.raw)?;
+    let class = classify_ctx(&LintContext::from_view(&view));
+    Ok(class)
 }
 
 /// Classify through a memoized [`LintContext`], sharing parsed extensions
@@ -134,21 +138,21 @@ mod tests {
     fn ascii_cert_is_not_a_unicert() {
         let cert = build(|b| b.subject_cn("plain.example").add_dns_san("plain.example"));
         // Issuer has ASCII defaults too.
-        let c = classify(&cert);
+        let c = classify(&cert).unwrap();
         assert!(!c.is_unicert());
     }
 
     #[test]
     fn unicode_org_is_a_unicert() {
         let cert = build(|b| b.subject_org("Müller GmbH"));
-        assert!(classify(&cert).is_unicert());
-        assert!(!classify(&cert).is_idn_cert());
+        assert!(classify(&cert).unwrap().is_unicert());
+        assert!(!classify(&cert).unwrap().is_idn_cert());
     }
 
     #[test]
     fn ace_san_is_an_idncert() {
         let cert = build(|b| b.add_dns_san("xn--mnchen-3ya.de"));
-        let c = classify(&cert);
+        let c = classify(&cert).unwrap();
         assert!(c.is_idn_cert());
         assert!(c.is_unicert());
         assert!(!c.has_unicode); // pure ASCII bytes, still an IDNCert
@@ -157,7 +161,7 @@ mod tests {
     #[test]
     fn idn_in_cn_counts() {
         let cert = build(|b| b.subject_cn("xn--fiqs8s.cn"));
-        assert!(classify(&cert).is_idn_cert());
+        assert!(classify(&cert).unwrap().is_idn_cert());
     }
 
     #[test]
@@ -169,6 +173,6 @@ mod tests {
                 b"Evil\x00Org",
             )
         });
-        assert!(classify(&cert).has_unicode);
+        assert!(classify(&cert).unwrap().has_unicode);
     }
 }

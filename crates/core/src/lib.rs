@@ -7,8 +7,8 @@
 //! * [`survey`] — the §4 issuance-compliance survey (CT entry → precert
 //!   filter → classify → lint → aggregate), feeding Tables 1/2/11 and
 //!   Figures 2/3/4. One function, [`survey::survey`], takes any slice of
-//!   [`survey::SurveyInput`]s (a certificate, as DER or already parsed,
-//!   plus optional metadata); [`survey::run`] takes a streaming generator;
+//!   [`survey::SurveyInput`]s (a certificate's DER plus optional
+//!   metadata); [`survey::run`] takes a streaming generator;
 //! * re-exports of every subsystem crate under one roof.
 //!
 //! ```

@@ -6,8 +6,8 @@
 //! 2, 3 and 4 need.
 //!
 //! Every input form — a generated [`CorpusEntry`], a store [`RawEntry`],
-//! bare bytes — reduces to one [`SurveyInput`]: a certificate, as DER or
-//! already parsed, plus optional [`CertMeta`]. One function, [`survey`],
+//! bare bytes — reduces to one [`SurveyInput`]: a certificate's DER plus
+//! optional [`CertMeta`]. One function, [`survey`],
 //! cuts a slice of inputs into chunks and runs them on the worker pool;
 //! [`run`] does the same for a streaming generator. One kernel parses DER
 //! once into a [`CertView`] and folds every certificate into the chunk's
@@ -22,7 +22,9 @@ use std::time::Instant;
 use unicert_asn1::{DateTime, ParseBudget};
 use unicert_corpus::{CertMeta, CorpusEntry, RawEntry, TrustStatus};
 use unicert_lint::{NoncomplianceType, RunOptions, Severity};
-use unicert_x509::{CertView, Certificate};
+use unicert_x509::CertView;
+#[cfg(doc)]
+use unicert_x509::Certificate;
 
 /// Outcome taxonomy for one survey input that carries no metadata (bare
 /// bytes, the hostile-input case).
@@ -522,23 +524,13 @@ fn hex_serial(serial: &[u8]) -> String {
     s
 }
 
-/// One survey input as the kernel reads it.
-pub enum Input<'a> {
-    /// DER, parsed once into a zero-copy [`CertView`], with the
-    /// ground-truth metadata when the caller has it.
-    Der(&'a [u8], Option<&'a CertMeta>),
-    /// A certificate its producer already parsed, lent to the lints as a
-    /// view ([`Certificate::view`]), with its ground-truth metadata.
-    Parsed(&'a Certificate, &'a CertMeta),
-}
-
-/// One survey input: a certificate, as DER or already parsed, plus the
-/// ground-truth [`CertMeta`] when the caller has it.
+/// One survey input: a certificate's DER, plus the ground-truth
+/// [`CertMeta`] when the caller has it.
 ///
 /// The survey reduces every input form to this shape:
 ///
-/// * [`CorpusEntry`] — a generated certificate, linted through a view
-///   lent from the tree the generator already built, with its metadata
+/// * [`CorpusEntry`] — a generated certificate, its DER the
+///   [`Certificate::raw`] the generator signed, with its metadata
 ///   borrowed;
 /// * [`RawEntry`] — a store record, its DER borrowed from a segment
 ///   buffer;
@@ -564,43 +556,41 @@ pub enum Input<'a> {
 /// `"parse"` with the panic payload as detail, and every rejected input
 /// still counts in [`SurveyReport::entries`].
 pub trait SurveyInput {
-    /// This input's certificate and metadata.
-    fn input(&self) -> Input<'_>;
+    /// This input's DER and, when the caller has it, its metadata.
+    fn input(&self) -> (&[u8], Option<&CertMeta>);
 }
 
 impl SurveyInput for CorpusEntry {
-    fn input(&self) -> Input<'_> {
-        Input::Parsed(&self.cert, &self.meta)
+    fn input(&self) -> (&[u8], Option<&CertMeta>) {
+        (&self.cert.raw, Some(&self.meta))
     }
 }
 
 impl SurveyInput for RawEntry<'_> {
-    fn input(&self) -> Input<'_> {
-        Input::Der(self.der, Some(&self.meta))
+    fn input(&self) -> (&[u8], Option<&CertMeta>) {
+        (self.der, Some(&self.meta))
     }
 }
 
 impl SurveyInput for Vec<u8> {
-    fn input(&self) -> Input<'_> {
-        Input::Der(self, None)
+    fn input(&self) -> (&[u8], Option<&CertMeta>) {
+        (self, None)
     }
 }
 
 /// A borrowed input, as a slice chunk yields it.
 impl<T: SurveyInput> SurveyInput for &T {
-    fn input(&self) -> Input<'_> {
+    fn input(&self) -> (&[u8], Option<&CertMeta>) {
         (**self).input()
     }
 }
 
 /// Fold one input into `report` — the survey's one kernel.
 ///
-/// A parsed input goes straight to the precertificate filter and is then
-/// lent as a [`CertView`]. DER is parsed into a view under a fresh state
-/// of `budget`, inside [`catch_unwind`] together with metadata inference;
-/// DER that does not parse is reported by the [`SurveyInput`] policy.
-/// Every certificate that passes the precertificate filter runs through
-/// [`accumulate_ctx`].
+/// The DER is parsed into a view under a fresh state of `budget`, inside
+/// [`catch_unwind`] together with metadata inference; DER that does not
+/// parse is reported by the [`SurveyInput`] policy. Every certificate that
+/// passes the precertificate filter runs through [`accumulate_ctx`].
 fn accumulate(
     report: &mut SurveyReport,
     registry: &unicert_lint::Registry,
@@ -611,24 +601,9 @@ fn accumulate(
     telemetry: Option<&mut ShardTelemetry>,
 ) {
     report.entries += 1;
-    let (der, known) = match input.input() {
-        Input::Der(der, known) => (der, known),
-        Input::Parsed(cert, meta) => {
-            // One certificate = one flight-recorder unit: clear this
-            // worker's ring so a later quarantine dump holds exactly this
-            // certificate's history.
-            unicert_telemetry::flight::begin_unit(index);
-            // §4.1: precertificates are filtered out by the poison
-            // extension.
-            if cert.tbs.is_precertificate() {
-                report.precerts_filtered += 1;
-                return;
-            }
-            let view = cert.view();
-            let ctx = unicert_lint::LintContext::from_view(&view);
-            return accumulate_ctx(report, registry, index, &ctx, meta, opts, telemetry);
-        }
-    };
+    let (der, known) = input.input();
+    // One certificate = one flight-recorder unit: clear this worker's ring
+    // so a later quarantine dump holds exactly this certificate's history.
     // Begin the unit before parsing so a parse-stage failure dumps a ring
     // holding only this input's history. The unit is begun again for
     // inputs that parse, dropping this breadcrumb — harmless, since the
@@ -671,7 +646,7 @@ fn accumulate(
         }
     };
     unicert_telemetry::flight::begin_unit(index);
-    // §4.1, as above.
+    // §4.1: precertificates are filtered out by the poison extension.
     if view.is_precertificate() {
         report.precerts_filtered += 1;
         return;

@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn clean_vector_passes_the_bimi_catalog() {
         let cert = vector_builder(None).build_signed(&SimKey::from_seed("bimi-demo-vmc-ca"));
-        let report = bimi_registry().run(&cert, RunOptions::default());
+        let report = bimi_registry().run(&cert, RunOptions::default()).unwrap();
         assert!(report.findings.is_empty(), "clean VMC lints dirty: {:?}", report.findings);
     }
 
@@ -323,7 +323,7 @@ mod tests {
         let reg = bimi_registry();
         for defect in BimiDefect::ALL {
             let cert = vector_builder(Some(defect)).build_signed(&key);
-            let report = reg.run(&cert, RunOptions::default());
+            let report = reg.run(&cert, RunOptions::default()).unwrap();
             let expected = defect.expected_lint();
             assert!(
                 report.findings.iter().any(|f| f.lint == expected),
@@ -366,7 +366,7 @@ mod tests {
         let reg = bimi_registry();
         for e in BimiGenerator::collect_all(BimiConfig { size: 250, seed: 7, ..Default::default() })
         {
-            let report = reg.run(&e.cert, RunOptions::default());
+            let report = reg.run(&e.cert, RunOptions::default()).unwrap();
             match e.defect {
                 Some(d) => assert!(
                     report.findings.iter().any(|f| f.lint == d.expected_lint()),

@@ -479,7 +479,9 @@ fn write_profile(out_dir: &PathBuf, profile: &str, registry: &Registry) -> Resul
     let control = profile_control(profile)
         .ok_or_else(|| format!("no clean-control recipe for profile {profile}"))?
         .build_signed(&key);
-    let report = registry.run(&control, RunOptions::default());
+    let report = registry
+        .run(&control, RunOptions::default())
+        .map_err(|e| format!("{profile}: control cert does not parse: {e}"))?;
     if !report.findings.is_empty() {
         return Err(format!("{profile}: control cert not clean: {:?}", report.findings));
     }
@@ -492,7 +494,9 @@ fn write_profile(out_dir: &PathBuf, profile: &str, registry: &Registry) -> Resul
             format!("no golden-vector recipe for {profile} lint {} — add one", lint.name)
         })?;
         let cert = builder.build_signed(&key);
-        let report = registry.run(&cert, RunOptions::default());
+        let report = registry
+            .run(&cert, RunOptions::default())
+            .map_err(|e| format!("{profile}/{}: vector does not parse: {e}", lint.name))?;
         if !report.findings.iter().any(|f| f.lint == lint.name) {
             return Err(format!(
                 "{profile}/{}: vector does not trigger its lint; findings: {:?}",
@@ -549,7 +553,7 @@ mod tests {
             for builder in std::iter::once(control).chain(builders) {
                 let cert = builder.build_signed(&key);
                 assert_eq!(cert.raw, cert.to_der(), "{}", profile.name);
-                assert_eq!(cert.raw_tbs, cert.tbs.to_der(), "{}", profile.name);
+                assert_eq!(cert.raw_tbs(), cert.tbs.to_der(), "{}", profile.name);
                 checked += 1;
             }
         }

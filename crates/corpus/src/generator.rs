@@ -487,7 +487,7 @@ mod tests {
         assert!(corpus.iter().any(|e| e.meta.is_precert));
         for (i, e) in corpus.iter().enumerate() {
             assert_eq!(e.cert.raw, e.cert.to_der(), "entry {i}");
-            assert_eq!(e.cert.raw_tbs, e.cert.tbs.to_der(), "entry {i}");
+            assert_eq!(e.cert.raw_tbs(), e.cert.tbs.to_der(), "entry {i}");
             // The IDN flag read off the builder's SAN list agrees with the
             // SAN parsed back out of the certificate.
             let parsed = e.cert.tbs.san_dns_names().iter().any(|h| subjects::is_idn(h));
@@ -499,7 +499,7 @@ mod tests {
     fn signatures_verify_with_issuer_keys() {
         for e in small_corpus(100, 2) {
             let key = SimKey::from_seed(&e.meta.issuer_org);
-            assert!(key.verify(&e.cert.raw_tbs, &e.cert.signature.bytes), "{}", e.meta.issuer_org);
+            assert!(key.verify(e.cert.raw_tbs(), &e.cert.signature.bytes), "{}", e.meta.issuer_org);
         }
     }
 
@@ -509,7 +509,7 @@ mod tests {
         let mut nc_found = 0;
         let mut clean_violations = 0;
         for e in small_corpus(800, 3) {
-            let report = reg.run(&e.cert, RunOptions::default());
+            let report = reg.run(&e.cert, RunOptions::default()).unwrap();
             match (&e.meta.injected, e.meta.latent) {
                 (Some(d), false) => {
                     assert!(
@@ -523,7 +523,7 @@ mod tests {
                     // Latent: invisible when gated...
                     assert!(report.findings.is_empty(), "latent visible: {:?}", report.findings);
                     // ...but visible ungated.
-                    let ungated = reg.run(&e.cert, RunOptions::ungated());
+                    let ungated = reg.run(&e.cert, RunOptions::ungated()).unwrap();
                     assert!(!ungated.findings.is_empty());
                 }
                 (None, _) => {
@@ -543,7 +543,7 @@ mod tests {
         let corpus = small_corpus(20_000, 42);
         let nc = corpus
             .iter()
-            .filter(|e| reg.run(&e.cert, RunOptions::default()).is_noncompliant())
+            .filter(|e| reg.run(&e.cert, RunOptions::default()).unwrap().is_noncompliant())
             .count();
         let rate = nc as f64 / corpus.len() as f64;
         // Paper: 0.72%. Allow a band.
@@ -571,7 +571,7 @@ mod tests {
         let mut warnings = 0;
         let mut errors = 0;
         for e in small_corpus(5_000, 11) {
-            let report = reg.run(&e.cert, RunOptions::default());
+            let report = reg.run(&e.cert, RunOptions::default()).unwrap();
             for f in report.findings {
                 match f.severity {
                     Severity::Warning => warnings += 1,

@@ -54,6 +54,16 @@ pub fn all_lints() -> Vec<Lint> {
     lints
 }
 
+/// Run the catalog lint `name` on the view parsed from `cert`'s DER, as
+/// the catalog modules' unit tests do.
+#[cfg(test)]
+pub(crate) fn run_one(name: &str, cert: &unicert_x509::Certificate) -> crate::LintStatus {
+    let lint = all_lints().into_iter().find(|l| l.name == name).expect("a catalog lint");
+    let view = unicert_x509::CertView::parse_der(&cert.raw).expect("test certificates parse");
+    let ctx = crate::LintContext::from_view(&view);
+    (lint.check)(&ctx)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

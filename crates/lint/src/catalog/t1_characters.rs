@@ -259,18 +259,11 @@ pub fn lints() -> Vec<Lint> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::context::LintContext;
+    use crate::catalog::run_one;
     use crate::framework::{LintStatus, RunOptions};
     use unicert_asn1::oid::known;
     use unicert_asn1::{DateTime, StringKind};
     use unicert_x509::{CertificateBuilder, SimKey};
-
-    fn run_one(name: &str, cert: &unicert_x509::Certificate) -> LintStatus {
-        let lints = lints();
-        let lint = lints.iter().find(|l| l.name == name).unwrap();
-        (lint.check)(&LintContext::from_view(&cert.view()))
-    }
 
     fn builder() -> CertificateBuilder {
         CertificateBuilder::new().validity_days(DateTime::date(2024, 6, 1).unwrap(), 90)
@@ -299,7 +292,7 @@ mod tests {
             .add_dns_san("clean.example.com")
             .build_signed(&SimKey::from_seed("ca"));
         let reg = crate::catalog::default_registry();
-        let report = reg.run(&cert, RunOptions::default());
+        let report = reg.run(&cert, RunOptions::default()).unwrap();
         assert!(
             report.findings.is_empty(),
             "unexpected findings: {:?}",

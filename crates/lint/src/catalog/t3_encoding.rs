@@ -465,14 +465,9 @@ const _: fn(&LintContext<'_>) -> LintStatus = |_| LintStatus::Pass;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::run_one;
     use unicert_asn1::DateTime;
     use unicert_x509::{CertificateBuilder, GeneralName, SimKey};
-
-    fn run_one(name: &str, cert: &unicert_x509::Certificate) -> LintStatus {
-        let lints = lints();
-        let lint = lints.iter().find(|l| l.name == name).unwrap();
-        (lint.check)(&LintContext::from_view(&cert.view()))
-    }
 
     fn builder() -> CertificateBuilder {
         CertificateBuilder::new().validity_days(DateTime::date(2024, 6, 1).unwrap(), 90)

@@ -222,16 +222,10 @@ pub fn lints() -> Vec<Lint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::LintContext;
+    use crate::catalog::run_one;
     use crate::framework::LintStatus;
     use unicert_asn1::{DateTime, StringKind};
     use unicert_x509::{CertificateBuilder, GeneralName, SimKey};
-
-    fn run_one(name: &str, cert: &unicert_x509::Certificate) -> LintStatus {
-        let lints = lints();
-        let lint = lints.iter().find(|l| l.name == name).unwrap();
-        (lint.check)(&LintContext::from_view(&cert.view()))
-    }
 
     fn builder() -> CertificateBuilder {
         CertificateBuilder::new().validity_days(DateTime::date(2024, 6, 1).unwrap(), 90)

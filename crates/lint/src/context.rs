@@ -9,8 +9,8 @@
 //! certificate's analysis.
 //!
 //! The context reads one certificate representation, a [`CertView`]: the
-//! survey's zero-copy parse, or an owned [`Certificate`] lent as a view
-//! ([`Certificate::view`]) without parsing. Memoization is
+//! zero-copy parse of the certificate's DER, whether that DER is a store
+//! record or an owned [`Certificate`]'s `raw`. Memoization is
 //! invalidation-free by construction — the context borrows an immutable
 //! view and nothing mutates it during a run, so a cached value can never
 //! go stale. The context is intentionally `!Send`/`!Sync`
@@ -30,9 +30,7 @@
 //! carries its [`Origin`]: where its bytes sit in the certificate DER. Every
 //! slice of a parsed view borrows that DER, so the span is read off the
 //! slice itself ([`Span::within`]); only the top-level elements of each
-//! extension value are found by walking the value once. A lent view's
-//! slices are not in an encoding, so its origins fall back to the whole
-//! certificate.
+//! extension value are found by walking the value once.
 //!
 //! Cache-effectiveness counters (`ctx.cache.hit` / `ctx.cache.miss`, labelled
 //! by field family: `san`, `dn_text`, `punycode`, `nfc`) are tallied in plain
@@ -517,18 +515,16 @@ pub struct LintContext<'c> {
 }
 
 impl<'c> LintContext<'c> {
-    /// A fresh (everything-lazy) context for one certificate: a parsed
-    /// view on the survey path, or an owned certificate's lent view
-    /// ([`Certificate::view`]).
+    /// A fresh (everything-lazy) context for one certificate's parsed
+    /// view.
     pub fn from_view(view: &'c CertView<'c>) -> LintContext<'c> {
         Self::build(view, None)
     }
 
     /// A context that additionally captures byte-range provenance: every
     /// cached value carries its [`Origin`], and the registry drains the
-    /// values each check touched into [`Evidence`] on its findings. The
-    /// spans are found in a parsed view; a lent view anchors every origin
-    /// to the whole certificate.
+    /// values each check touched into [`Evidence`] on its findings. Each
+    /// span is where the value's slice sits in [`CertView::raw`].
     ///
     /// Strictly off the survey hot path — use [`LintContext::from_view`]
     /// there.
@@ -694,8 +690,7 @@ impl<'c> LintContext<'c> {
 
     /// Provenance pair for a value, shared with the context's touch log.
     /// `None` when evidence is off. `locate` finds the value's span and
-    /// path; when it cannot (a lent view, whose bytes are not in an
-    /// encoding), the origin is the whole certificate.
+    /// path, which every value of a parsed view has.
     fn provenance(
         &self,
         tag_number: u32,
@@ -703,9 +698,7 @@ impl<'c> LintContext<'c> {
         locate: impl FnOnce(&EvidenceState) -> Option<(Span, String)>,
     ) -> Option<(Rc<Origin>, TouchLog)> {
         let ev = self.evidence.as_ref()?;
-        let (span, path) = locate(ev).unwrap_or_else(|| {
-            (Span { offset: 0, len: self.view.raw.len() }, "certificate".to_string())
-        });
+        let (span, path) = locate(ev)?;
         Some((self.make_origin(tag_number, bytes, span, path), Rc::clone(&ev.touched)))
     }
 
@@ -1086,7 +1079,7 @@ mod tests {
             .add_dns_san("a.example")
             .add_dns_san("xn--mnchen-3ya.de")
             .build_signed(&SimKey::from_seed("ctx"));
-        let view = cert.view();
+        let view = CertView::parse_der(&cert.raw).unwrap();
         let ctx = LintContext::from_view(&view);
         let direct: Vec<String> = cert.tbs.san_dns_names();
         let cached: Vec<String> =
@@ -1103,7 +1096,7 @@ mod tests {
     #[test]
     fn wire_text_memoizes() {
         let cert = builder().subject_cn("Müller").build_signed(&SimKey::from_seed("ctx"));
-        let view = cert.view();
+        let view = CertView::parse_der(&cert.raw).unwrap();
         let ctx = LintContext::from_view(&view);
         let vals: Vec<_> = ctx.attr_vals(Which::Subject, &known::common_name()).collect();
         assert_eq!(vals.len(), 1);
@@ -1119,7 +1112,7 @@ mod tests {
     #[test]
     fn label_info_matches_classify_a_label() {
         let cert = builder().build_signed(&SimKey::from_seed("ctx"));
-        let view = cert.view();
+        let view = CertView::parse_der(&cert.raw).unwrap();
         let ctx = LintContext::from_view(&view);
         for label in [
             "xn--mnchen-3ya",
@@ -1146,7 +1139,7 @@ mod tests {
     #[test]
     fn label_info_non_nfc_and_roundtrip_match_t2_logic() {
         let cert = builder().build_signed(&SimKey::from_seed("ctx"));
-        let view = cert.view();
+        let view = CertView::parse_der(&cert.raw).unwrap();
         let ctx = LintContext::from_view(&view);
         let decomposed = "mu\u{308}nchen";
         let a = format!("xn--{}", punycode::encode(decomposed).unwrap());
@@ -1173,7 +1166,7 @@ mod tests {
             .build_signed(&SimKey::from_seed("ctx-ev"));
         let registry = crate::catalog::default_registry();
         let opts = crate::framework::RunOptions { evidence: true, ..Default::default() };
-        let report = registry.run(&cert, opts);
+        let report = registry.run(&cert, opts).unwrap();
         assert!(report.is_noncompliant());
         for f in &report.findings {
             assert!(!f.evidence.is_empty(), "{} has no evidence", f.lint);
@@ -1264,35 +1257,25 @@ mod tests {
         let evidence = ctx.drain_evidence("none");
         assert_eq!(evidence.len(), 1);
         assert_eq!(evidence[0].tlv_path, "tbs");
-        assert_eq!(bytes_at(&cert.raw, evidence[0].span), cert.raw_tbs.as_slice());
+        assert_eq!(bytes_at(&cert.raw, evidence[0].span), cert.raw_tbs());
     }
 
     #[test]
-    fn unparseable_raw_is_linted_through_the_lent_view() {
+    fn unparseable_raw_is_a_parse_failure() {
         let mut cert = builder()
             .subject_cn("mu\u{308}nchen")
             .add_dns_san("a.example")
             .build_signed(&SimKey::from_seed("ctx-ev"));
         let registry = crate::catalog::default_registry();
-        let bare = registry.run(&cert, crate::framework::RunOptions::default());
-        // Trailing garbage: the tree is intact, its encoding no longer parses.
+        assert!(registry.run(&cert, crate::framework::RunOptions::default()).is_ok());
+        // Trailing garbage: the tree is intact, its encoding no longer
+        // parses, so the certificate is not linted at all.
         cert.raw.push(0x00);
-        assert!(CertView::parse_der(&cert.raw).is_err());
-        let opts = crate::framework::RunOptions { evidence: true, ..Default::default() };
-        let report = registry.run(&cert, opts);
-        let lints = |r: &crate::framework::CertReport| -> Vec<&str> {
-            r.findings.iter().map(|f| f.lint).collect()
-        };
-        assert!(report.is_noncompliant());
-        assert_eq!(lints(&report), lints(&bare));
-        let whole = Span { offset: 0, len: cert.raw.len() };
-        let mut anchored = 0;
-        for e in report.findings.iter().flat_map(|f| f.evidence.iter()) {
-            assert_eq!(e.span, whole, "{}", e.tlv_path);
-            assert!(e.tlv_path == "certificate" || e.tlv_path == "tbs", "{}", e.tlv_path);
-            anchored += usize::from(e.tlv_path == "certificate");
+        let err = CertView::parse_der(&cert.raw).unwrap_err();
+        for evidence in [false, true] {
+            let opts = crate::framework::RunOptions { evidence, ..Default::default() };
+            assert_eq!(registry.run(&cert, opts).unwrap_err(), err, "evidence {evidence}");
         }
-        assert!(anchored > 0, "no value origin fell back to the whole certificate");
     }
 
     #[test]
@@ -1301,7 +1284,7 @@ mod tests {
             .subject_cn("mu\u{308}nchen")
             .build_signed(&SimKey::from_seed("ctx-ev"));
         let registry = crate::catalog::default_registry();
-        let report = registry.run(&cert, crate::framework::RunOptions::default());
+        let report = registry.run(&cert, crate::framework::RunOptions::default()).unwrap();
         assert!(report.is_noncompliant());
         assert!(report.findings.iter().all(|f| f.evidence.is_empty()));
     }
@@ -1309,7 +1292,7 @@ mod tests {
     #[test]
     fn absent_extensions_yield_empty_lists() {
         let cert = builder().subject_cn("no-ext.example").build_signed(&SimKey::from_seed("ctx"));
-        let view = cert.view();
+        let view = CertView::parse_der(&cert.raw).unwrap();
         let ctx = LintContext::from_view(&view);
         assert!(ctx.san_rfc822().is_empty());
         assert!(ctx.ian_strings().is_empty());

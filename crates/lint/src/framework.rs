@@ -632,19 +632,16 @@ impl Registry {
     /// histogram. The findings are identical either way: telemetry never
     /// feeds back into the report.
     ///
-    /// The certificate is lent as a view ([`Certificate::view`]). With
-    /// [`RunOptions::evidence`] the run lints the view parsed from
-    /// [`Certificate::raw`] instead, since spans locate bytes in the
-    /// encoding; when `raw` does not parse it lints the lent view, and
-    /// every origin is the whole certificate.
-    pub fn run(&self, cert: &Certificate, opts: RunOptions) -> CertReport {
-        if opts.evidence {
-            return match CertView::parse_der(&cert.raw) {
-                Ok(view) => self.run_ctx(&LintContext::with_evidence(&view), opts),
-                Err(_) => self.run_ctx(&LintContext::with_evidence(&cert.view()), opts),
-            };
-        }
-        self.run_ctx(&LintContext::from_view(&cert.view()), opts)
+    /// The certificate is linted through the view parsed from
+    /// [`Certificate::raw`], as the survey lints DER; with
+    /// [`RunOptions::evidence`] its findings carry spans into `raw`. A
+    /// certificate whose `raw` does not parse is not linted: the parse
+    /// error comes back instead.
+    pub fn run(&self, cert: &Certificate, opts: RunOptions) -> unicert_asn1::Result<CertReport> {
+        let view = CertView::parse_der(&cert.raw)?;
+        let ctx =
+            if opts.evidence { LintContext::with_evidence(&view) } else { LintContext::from_view(&view) };
+        Ok(self.run_ctx(&ctx, opts))
     }
 
     /// [`Registry::run`] against a caller-built [`LintContext`].

@@ -321,7 +321,7 @@ fn every_lint_fires_on_its_violating_certificate() {
     let registry = default_registry();
     for (name, cert) in violations() {
         assert!(registry.get(name).is_some(), "unknown lint {name}");
-        let report = registry.run(&cert, RunOptions::default());
+        let report = registry.run(&cert, RunOptions::default()).unwrap();
         assert!(
             report.findings.iter().any(|f| f.lint == name),
             "{name} did not fire; findings: {:?}",
@@ -351,7 +351,7 @@ fn violations_survive_der_round_trips() {
     let registry = default_registry();
     for (name, cert) in violations() {
         let reparsed = Certificate::parse_der(&cert.raw).unwrap();
-        let report = registry.run(&reparsed, RunOptions::default());
+        let report = registry.run(&reparsed, RunOptions::default()).unwrap();
         assert!(
             report.findings.iter().any(|f| f.lint == name),
             "{name} lost through DER round trip"

@@ -43,8 +43,8 @@ proptest! {
         }
         let cert = b.build_signed(&SimKey::from_seed("ca"));
         let reg = default_registry();
-        let gated = reg.run(&cert, RunOptions::default());
-        let ungated = reg.run(&cert, RunOptions::ungated());
+        let gated = reg.run(&cert, RunOptions::default()).unwrap();
+        let ungated = reg.run(&cert, RunOptions::ungated()).unwrap();
         prop_assert!(gated.findings.len() <= ungated.findings.len());
         for f in &gated.findings {
             prop_assert!(ungated.findings.contains(f));

@@ -331,8 +331,28 @@ pub(crate) fn parse_trust(label: &str) -> Option<TrustStatus> {
 }
 
 /// Parse the `YYYY-MM-DDTHH:MM:SS` issued column [`write_meta`] writes,
-/// revalidating field ranges.
+/// revalidating field ranges. The fixed-width shape every written column
+/// has is read digit by digit; any other shape goes through
+/// [`parse_datetime_fields`].
 fn parse_datetime(s: &str) -> Option<DateTime> {
+    match *s.as_bytes() {
+        [y0, y1, y2, y3, b'-', m0, m1, b'-', d0, d1, b'T', h0, h1, b':', i0, i1, b':', s0, s1]
+            if [y0, y1, y2, y3, m0, m1, d0, d1, h0, h1, i0, i1, s0, s1]
+                .iter()
+                .all(u8::is_ascii_digit) =>
+        {
+            let two = |hi: u8, lo: u8| (hi - b'0') * 10 + (lo - b'0');
+            let year = i32::from(two(y0, y1)) * 100 + i32::from(two(y2, y3));
+            let (month, day) = (two(m0, m1), two(d0, d1));
+            DateTime::new(year, month, day, two(h0, h1), two(i0, i1), two(s0, s1)).ok()
+        }
+        _ => parse_datetime_fields(s),
+    }
+}
+
+/// The general form of [`parse_datetime`]: the six fields split on their
+/// separators, each read by `str::parse`.
+fn parse_datetime_fields(s: &str) -> Option<DateTime> {
     let (date, time) = s.split_once('T')?;
     let mut date_parts = date.splitn(3, '-');
     let year: i32 = date_parts.next()?.parse().ok()?;
@@ -348,25 +368,68 @@ fn parse_datetime(s: &str) -> Option<DateTime> {
 /// Append the survey-visible metadata columns to `out` as one tab-framed
 /// line: escaped issuer, trust label, issued time as
 /// `YYYY-MM-DDTHH:MM:SS`, validity days, and the idn and precert flags.
+/// The digits are written directly, without the formatter.
 pub fn write_meta(out: &mut Vec<u8>, meta: &CertMeta) {
-    use std::io::Write;
-    let dt = &meta.issued;
     out.extend_from_slice(escape(&meta.issuer_org).as_bytes());
+    out.push(b'\t');
+    out.extend_from_slice(trust_label(meta.trust).as_bytes());
+    out.push(b'\t');
+    write_datetime(out, &meta.issued);
+    out.push(b'\t');
+    write_decimal(out, meta.validity_days);
+    out.extend_from_slice(&[
+        b'\t',
+        b'0' + u8::from(meta.is_idn_cert),
+        b'\t',
+        b'0' + u8::from(meta.is_precert),
+    ]);
+}
+
+/// `dt` as `{:04}-{:02}-{:02}T{:02}:{:02}:{:02}` renders it: digit by
+/// digit when every field fits its width (every valid time from year 0 to
+/// 9999), through the formatter otherwise.
+fn write_datetime(out: &mut Vec<u8>, dt: &DateTime) {
+    let fields = [dt.month, dt.day, dt.hour, dt.minute, dt.second];
+    let Ok(year @ 0..=9999) = u16::try_from(dt.year) else {
+        return write_datetime_formatted(out, dt);
+    };
+    if fields.iter().any(|&f| f > 99) {
+        return write_datetime_formatted(out, dt);
+    }
+    let digit = |v: u16| b'0' + (v % 10) as u8;
+    out.extend_from_slice(&[digit(year / 1000), digit(year / 100), digit(year / 10), digit(year)]);
+    for (sep, field) in [b'-', b'-', b'T', b':', b':'].into_iter().zip(fields) {
+        out.extend_from_slice(&[sep, b'0' + field / 10, b'0' + field % 10]);
+    }
+}
+
+fn write_datetime_formatted(out: &mut Vec<u8>, dt: &DateTime) {
+    use std::io::Write;
     // Writing into a `Vec` cannot fail.
     let _ = write!(
         out,
-        "\t{}\t{:04}-{:02}-{:02}T{:02}:{:02}:{:02}\t{}\t{}\t{}",
-        trust_label(meta.trust),
-        dt.year,
-        dt.month,
-        dt.day,
-        dt.hour,
-        dt.minute,
-        dt.second,
-        meta.validity_days,
-        u8::from(meta.is_idn_cert),
-        u8::from(meta.is_precert),
+        "{:04}-{:02}-{:02}T{:02}:{:02}:{:02}",
+        dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second
     );
+}
+
+/// `v` in decimal, as `{}` renders it.
+fn write_decimal(out: &mut Vec<u8>, v: i64) {
+    if v < 0 {
+        out.push(b'-');
+    }
+    let mut n = v.unsigned_abs();
+    let mut digits = [0u8; 20];
+    let mut used = 0;
+    for slot in digits.iter_mut().rev() {
+        *slot = b'0' + (n % 10) as u8;
+        n /= 10;
+        used += 1;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(digits.get(digits.len() - used..).unwrap_or_default());
 }
 
 /// Reverse of [`write_meta`]. The generator-only `injected`/`latent`
@@ -451,6 +514,21 @@ mod tests {
         }
     }
 
+    /// A certificate decoded from a segment holds its DER once: its
+    /// `raw_tbs()` is the TBS element of its `raw`.
+    #[test]
+    fn decoded_certificates_read_the_tbs_out_of_raw() {
+        let original = entries(2_500);
+        let (bytes, _) = encode_segment(0, &original);
+        let decoded = decode_segment(&bytes, 0, None, None).unwrap();
+        assert!(decoded.iter().any(|e| e.meta.is_precert), "the shard holds precertificates");
+        for (d, o) in decoded.iter().zip(&original) {
+            let tbs = unicert_asn1::reader::parse_single(&d.cert.raw).unwrap().contents().read_tlv();
+            assert_eq!(d.cert.raw_tbs(), tbs.unwrap().raw);
+            assert_eq!(d.cert.raw_tbs(), o.cert.raw_tbs());
+        }
+    }
+
     /// Decoding each committed clean vector segment and encoding it again
     /// reproduces the file byte for byte, with the fingerprint the clean
     /// manifest records: the encoder still writes the format the vectors
@@ -511,6 +589,84 @@ mod tests {
         let err = decode_segment(&bytes, 5, None, None).unwrap_err();
         assert_eq!(err.class(), "fingerprint_mismatch");
         assert!(err.detail().contains("shard index 2"));
+    }
+
+    /// The `write!` that wrote every metadata line before the digits were
+    /// written directly, transcribed as the oracle.
+    fn formatted_meta(meta: &CertMeta) -> Vec<u8> {
+        use std::io::Write;
+        let dt = &meta.issued;
+        let mut out = escape(&meta.issuer_org).into_owned().into_bytes();
+        write!(
+            out,
+            "\t{}\t{:04}-{:02}-{:02}T{:02}:{:02}:{:02}\t{}\t{}\t{}",
+            trust_label(meta.trust),
+            dt.year,
+            dt.month,
+            dt.day,
+            dt.hour,
+            dt.minute,
+            dt.second,
+            meta.validity_days,
+            u8::from(meta.is_idn_cert),
+            u8::from(meta.is_precert),
+        )
+        .unwrap();
+        out
+    }
+
+    #[test]
+    fn meta_bytes_match_the_formatter() {
+        let mut metas: Vec<CertMeta> = entries(200).into_iter().map(|e| e.meta).collect();
+        let base = metas[0].clone();
+        for year in [0, 7, 999, 1000, 9999, 10_000, 123_456, -1, -2024, i32::MIN, i32::MAX] {
+            let issued = DateTime { year, ..base.issued };
+            metas.push(CertMeta { issued, ..base.clone() });
+        }
+        let odd = DateTime { year: 2024, month: 100, day: 7, hour: 255, minute: 9, second: 10 };
+        metas.push(CertMeta { issued: odd, ..base.clone() });
+        for validity_days in [0, 9, 10, 397, -1, -398, i64::MIN, i64::MAX] {
+            metas.push(CertMeta { validity_days, ..base.clone() });
+        }
+        for meta in &metas {
+            let mut written = Vec::new();
+            write_meta(&mut written, meta);
+            assert_eq!(written, formatted_meta(meta), "{meta:?}");
+        }
+    }
+
+    #[test]
+    fn fixed_width_dates_parse_like_the_field_parser() {
+        let cases = [
+            "2024-06-01T00:00:00",
+            "0000-01-01T00:00:00",
+            "9999-12-31T23:59:59",
+            "2024-02-29T12:30:45",
+            "2023-02-29T12:30:45",
+            "2024-13-01T00:00:00",
+            "2024-00-10T00:00:00",
+            "2024-06-01T24:00:00",
+            "2024-06-01T00:60:00",
+            "2024-06-01T00:00:60",
+            "2024-6-01T00:00:00",
+            "+024-06-01T00:00:00",
+            "-024-06-01T00:00:00",
+            "2024-06-01 00:00:00",
+            "2024-06-01T00:00:0a",
+            "12345-06-01T00:00:00",
+            "2024-06-01T00:00:00Z",
+            "",
+        ];
+        for case in cases {
+            assert_eq!(parse_datetime(case), parse_datetime_fields(case), "{case:?}");
+        }
+        for entry in entries(200) {
+            let mut line = Vec::new();
+            write_datetime(&mut line, &entry.meta.issued);
+            let text = std::str::from_utf8(&line).unwrap();
+            assert_eq!(parse_datetime(text), Some(entry.meta.issued), "{text}");
+            assert_eq!(parse_datetime(text), parse_datetime_fields(text), "{text}");
+        }
     }
 
     #[test]

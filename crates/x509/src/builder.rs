@@ -210,7 +210,7 @@ mod tests {
             .build_signed(&key);
         let parsed = Certificate::parse_der(&cert.raw).unwrap();
         assert_eq!(parsed.tbs.san_dns_names(), vec!["ok.example.com"]);
-        assert!(key.verify(&parsed.raw_tbs, &parsed.signature.bytes));
+        assert!(key.verify(parsed.raw_tbs(), &parsed.signature.bytes));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::sign::SimKey;
 use crate::view::CertView;
 use unicert_asn1::oid::known;
 use unicert_asn1::tag::{tags, Tag};
-use unicert_asn1::{BitString, DateTime, Oid, ParseBudget, Result, TimeKind, Writer};
+use unicert_asn1::{BitString, DateTime, Oid, ParseBudget, Result, Span, TimeKind, Writer};
 
 /// `AlgorithmIdentifier ::= SEQUENCE { algorithm OID, parameters ANY }`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,7 +30,7 @@ impl AlgorithmIdentifier {
         AlgorithmIdentifier { algorithm: known::sim_public_key(), parameters: Some(vec![0x05, 0x00]) }
     }
 
-    fn write_to(&self, w: &mut Writer) {
+    pub(crate) fn write_to(&self, w: &mut Writer) {
         w.write_sequence(|w| {
             w.write_oid(&self.algorithm);
             if let Some(p) = &self.parameters {
@@ -114,7 +114,7 @@ pub struct TbsCertificate {
     pub extensions: Vec<Extension>,
 }
 
-/// A complete certificate, retaining its raw encodings.
+/// A complete certificate, retaining its raw encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
     /// The TBS portion.
@@ -123,17 +123,22 @@ pub struct Certificate {
     pub signature_algorithm: AlgorithmIdentifier,
     /// The signature bits.
     pub signature: BitString,
-    /// Raw DER of the TBSCertificate (exact wire bytes; what the simulated
-    /// signer signs and verifies).
-    pub raw_tbs: Vec<u8>,
-    /// Raw DER of the complete certificate.
+    /// Raw DER of the complete certificate: the one stored copy of its
+    /// encoding.
     pub raw: Vec<u8>,
+    /// Where the TBSCertificate sits in `raw`.
+    pub(crate) tbs_span: Span,
 }
 
 impl TbsCertificate {
     /// Encode to DER.
     pub fn to_der(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        self.write_to(&mut w);
+        w.into_bytes()
+    }
+
+    fn write_to(&self, w: &mut Writer) {
         w.write_sequence(|w| {
             if self.version != 0 {
                 w.write_constructed(Tag::context_constructed(0), |w| w.write_u64(self.version));
@@ -160,7 +165,6 @@ impl TbsCertificate {
                 });
             }
         });
-        w.into_bytes()
     }
 
     /// Find an extension by OID.
@@ -234,36 +238,59 @@ impl Certificate {
     }
 
     /// Sign `tbs` with `issuer_key` under the simulated signature
-    /// algorithm. The TBS is encoded once: that encoding is what is signed,
-    /// kept as `raw_tbs` and carried inside `raw`.
+    /// algorithm. The TBS is encoded once, into the buffer that becomes
+    /// `raw`, and signed there.
     pub fn sign(tbs: TbsCertificate, issuer_key: &SimKey) -> Certificate {
-        let raw_tbs = tbs.to_der();
         let signature_algorithm = AlgorithmIdentifier::sim_signature();
-        let signature = BitString::from_bytes(&issuer_key.sign(&raw_tbs));
-        let raw = encode_envelope(&raw_tbs, &signature_algorithm, &signature);
-        Certificate { tbs, signature_algorithm, signature, raw_tbs, raw }
+        let (raw, tbs_span, signature) = encode_signed(
+            |w| tbs.write_to(w),
+            &signature_algorithm,
+            |tbs_der| BitString::from_bytes(&issuer_key.sign(tbs_der)),
+        );
+        Certificate { tbs, signature_algorithm, signature, raw, tbs_span }
+    }
+
+    /// Raw DER of the TBSCertificate: the exact wire bytes the simulated
+    /// signer signs and verifies, a slice of `raw`.
+    pub fn raw_tbs(&self) -> &[u8] {
+        self.tbs_span.slice(&self.raw)
     }
 
     /// Encode to DER (reconstructs from the model, not `raw`).
     pub fn to_der(&self) -> Vec<u8> {
-        encode_envelope(&self.tbs.to_der(), &self.signature_algorithm, &self.signature)
+        let (der, _, _) = encode_signed(
+            |w| self.tbs.write_to(w),
+            &self.signature_algorithm,
+            |_| self.signature.clone(),
+        );
+        der
     }
 }
 
-/// The certificate envelope around an encoded TBS:
-/// `SEQUENCE { tbsCertificate, signatureAlgorithm, signatureValue }`.
-fn encode_envelope(
-    raw_tbs: &[u8],
+/// A signed envelope, `SEQUENCE { tbs, signatureAlgorithm, signatureValue }`,
+/// written into one buffer: `write_tbs` writes the TBS, and `signer` reads
+/// those bytes in place and returns the signature written after them.
+/// Returns the encoding, where the TBS sits in it, and the signature.
+pub(crate) fn encode_signed(
+    write_tbs: impl FnOnce(&mut Writer),
     signature_algorithm: &AlgorithmIdentifier,
-    signature: &BitString,
-) -> Vec<u8> {
+    signer: impl FnOnce(&[u8]) -> BitString,
+) -> (Vec<u8>, Span, BitString) {
     let mut w = Writer::new();
-    w.write_sequence(|w| {
-        w.write_raw(raw_tbs);
+    let (tbs_len, contents_len, signature) = w.write_sequence(|w| {
+        let start = w.as_bytes().len();
+        write_tbs(w);
+        let tbs_der = w.as_bytes().get(start..).unwrap_or_default();
+        let tbs_len = tbs_der.len();
+        let signature = signer(tbs_der);
         signature_algorithm.write_to(w);
         w.write_tlv(tags::BIT_STRING, &signature.to_der_value());
+        (tbs_len, w.as_bytes().len().saturating_sub(start), signature)
     });
-    w.into_bytes()
+    let der = w.into_bytes();
+    // The TBS opens the contents, which follow the SEQUENCE header.
+    let offset = der.len().saturating_sub(contents_len);
+    (der, Span { offset, len: tbs_len }, signature)
 }
 
 #[cfg(test)]
@@ -294,8 +321,8 @@ mod tests {
     fn signature_verifies_over_raw_tbs() {
         let cert = sample();
         let key = SimKey::from_seed("Test CA");
-        assert!(key.verify(&cert.raw_tbs, &cert.signature.bytes));
-        assert!(!SimKey::from_seed("Evil CA").verify(&cert.raw_tbs, &cert.signature.bytes));
+        assert!(key.verify(cert.raw_tbs(), &cert.signature.bytes));
+        assert!(!SimKey::from_seed("Evil CA").verify(cert.raw_tbs(), &cert.signature.bytes));
     }
 
     #[test]

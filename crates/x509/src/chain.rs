@@ -68,7 +68,7 @@ impl TrustStore {
     /// validity windows, and (when a CRL is registered) revocation.
     pub fn verify_leaf(&self, leaf: &Certificate, at: &DateTime) -> Result<(), ChainError> {
         let (ca_cert, key) = self.find_issuer(leaf).ok_or(ChainError::UnknownIssuer)?;
-        if !key.verify(&leaf.raw_tbs, &leaf.signature.bytes) {
+        if !key.verify(leaf.raw_tbs(), &leaf.signature.bytes) {
             return Err(ChainError::BadSignature);
         }
         if !leaf.tbs.validity.contains(at) {

@@ -2,11 +2,11 @@
 //! and simulated signing — the substrate for the §5.2 CRL-spoofing threat
 //! experiment.
 
-use crate::certificate::AlgorithmIdentifier;
+use crate::certificate::{encode_signed, AlgorithmIdentifier};
 use crate::name::DistinguishedName;
 use crate::sign::SimKey;
 use unicert_asn1::tag::{tags, Tag};
-use unicert_asn1::{BitString, DateTime, Error, Reader, Result, Writer};
+use unicert_asn1::{BitString, DateTime, Error, Reader, Result, Span, Writer};
 
 /// One revoked-certificate entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,10 +39,10 @@ pub struct CertificateList {
     pub signature_algorithm: AlgorithmIdentifier,
     /// Signature bits.
     pub signature: BitString,
-    /// Raw DER of the TBS (what the signature covers).
-    pub raw_tbs: Vec<u8>,
-    /// Raw DER of the whole list.
+    /// Raw DER of the whole list: the one stored copy of its encoding.
     pub raw: Vec<u8>,
+    /// Where the TBS sits in `raw`.
+    tbs_span: Span,
 }
 
 fn write_time(w: &mut Writer, dt: &DateTime) {
@@ -62,9 +62,14 @@ impl TbsCertList {
     /// Encode to DER (v2).
     pub fn to_der(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        self.write_to(&mut w);
+        w.into_bytes()
+    }
+
+    fn write_to(&self, w: &mut Writer) {
         w.write_sequence(|w| {
             w.write_u64(1); // version v2
-            AlgorithmIdentifier::sim_signature_write(w);
+            AlgorithmIdentifier::sim_signature().write_to(w);
             self.issuer.write_to(w);
             write_time(w, &self.this_update);
             write_time(w, &self.next_update);
@@ -79,7 +84,6 @@ impl TbsCertList {
                 });
             }
         });
-        w.into_bytes()
     }
 
     fn parse(r: &mut Reader<'_>) -> Result<TbsCertList> {
@@ -122,40 +126,17 @@ impl TbsCertList {
     }
 }
 
-impl AlgorithmIdentifier {
-    fn sim_signature_write(w: &mut Writer) {
-        AlgorithmIdentifier::sim_signature().write_raw_to(w);
-    }
-
-    /// Encode this AlgorithmIdentifier (public hook for CRL encoding).
-    pub fn write_raw_to(&self, w: &mut Writer) {
-        w.write_sequence(|w| {
-            w.write_oid(&self.algorithm);
-            if let Some(p) = &self.parameters {
-                w.write_raw(p);
-            }
-        });
-    }
-}
-
 impl CertificateList {
-    /// Build and sign a CRL.
+    /// Build and sign a CRL. The TBS is encoded once, into the buffer that
+    /// becomes `raw`, and signed there.
     pub fn build(tbs: TbsCertList, key: &SimKey) -> CertificateList {
-        let raw_tbs = tbs.to_der();
-        let signature = key.sign(&raw_tbs);
-        let mut w = Writer::new();
-        w.write_sequence(|w| {
-            w.write_raw(&raw_tbs);
-            AlgorithmIdentifier::sim_signature().write_raw_to(w);
-            w.write_tlv(tags::BIT_STRING, &BitString::from_bytes(&signature).to_der_value());
-        });
-        CertificateList {
-            tbs,
-            signature_algorithm: AlgorithmIdentifier::sim_signature(),
-            signature: BitString::from_bytes(&signature),
-            raw_tbs,
-            raw: w.into_bytes(),
-        }
+        let signature_algorithm = AlgorithmIdentifier::sim_signature();
+        let (raw, tbs_span, signature) = encode_signed(
+            |w| tbs.write_to(w),
+            &signature_algorithm,
+            |tbs_der| BitString::from_bytes(&key.sign(tbs_der)),
+        );
+        CertificateList { tbs, signature_algorithm, signature, raw, tbs_span }
     }
 
     /// Parse a CRL from DER.
@@ -163,7 +144,7 @@ impl CertificateList {
         let mut r = Reader::new(der);
         let crl = r.read_sequence(|c| {
             let tbs_tlv = c.read_expected(tags::SEQUENCE)?;
-            let raw_tbs = tbs_tlv.raw.to_vec();
+            let tbs_span = Span::within(der, tbs_tlv.raw).unwrap_or_default();
             let mut tbs_reader = Reader::new(tbs_tlv.raw);
             let tbs = TbsCertList::parse(&mut tbs_reader)?;
             tbs_reader.finish()?;
@@ -178,10 +159,15 @@ impl CertificateList {
             };
             let sig_tlv = c.read_expected(tags::BIT_STRING)?;
             let signature = BitString::from_der_value(sig_tlv.value)?;
-            Ok(CertificateList { tbs, signature_algorithm, signature, raw_tbs, raw: der.to_vec() })
+            Ok(CertificateList { tbs, signature_algorithm, signature, raw: der.to_vec(), tbs_span })
         })?;
         r.finish()?;
         Ok(crl)
+    }
+
+    /// Raw DER of the TBS (what the signature covers), a slice of `raw`.
+    pub fn raw_tbs(&self) -> &[u8] {
+        self.tbs_span.slice(&self.raw)
     }
 
     /// Is a serial revoked by this list?
@@ -191,7 +177,7 @@ impl CertificateList {
 
     /// Verify the signature with the issuer's key.
     pub fn verify(&self, key: &SimKey) -> bool {
-        key.verify(&self.raw_tbs, &self.signature.bytes)
+        key.verify(self.raw_tbs(), &self.signature.bytes)
     }
 }
 

@@ -16,15 +16,12 @@
 //!   [`DistinguishedName::parse`] are this parse followed by `to_owned`,
 //!   so the two representations accept, reject and charge a
 //!   [`ParseBudget`] identically by construction;
-//! * evidence spans: every slice of a parsed view borrows the input, so a
+//! * the lints: an owned certificate is linted through the view parsed
+//!   from its [`Certificate::raw`], so every view is a parse;
+//! * evidence spans: every slice of a view borrows the input, so a
 //!   field's byte range is where its slice sits in [`CertView::raw`]
 //!   ([`Span::within`]). A DN attribute also records its value's header
 //!   length, which locates the whole value TLV ([`AttrView::tlv_span`]).
-//!
-//! [`Certificate::view`] goes the other way: it lends an owned certificate
-//! as a view without reading any DER, so owned callers lint through the
-//! same API. A lent view's slices borrow the owned tree, not an encoding,
-//! so no span can be found in one.
 
 use crate::extensions::{parse_extension_value, Extension, ParsedExtension};
 use crate::name::{AttributeTypeAndValue, DistinguishedName, Rdn};
@@ -70,13 +67,6 @@ impl<'a> AlgorithmIdentifierView<'a> {
             parameters: self.parameters.map(<[u8]>::to_vec),
         }
     }
-
-    fn lend(owned: &'a AlgorithmIdentifier) -> AlgorithmIdentifierView<'a> {
-        AlgorithmIdentifierView {
-            algorithm: owned.algorithm.clone(),
-            parameters: owned.parameters.as_deref(),
-        }
-    }
 }
 
 /// Borrowed `AttributeTypeAndValue`: type OID plus the value's wire tag and
@@ -90,7 +80,7 @@ pub struct AttrView<'a> {
     /// The value's content octets, untouched.
     pub value: &'a [u8],
     /// Octets of the value's TLV header (tag and length), which sit right
-    /// before `value` in a parsed view; 0 in a lent view.
+    /// before `value` in the input.
     pub header_len: u8,
     /// Index of the RDN (the SET) holding this attribute, in wire order.
     pub rdn: usize,
@@ -98,7 +88,7 @@ pub struct AttrView<'a> {
 
 impl AttrView<'_> {
     /// Where the value's whole TLV, header included, sits in `raw`; `None`
-    /// when the value does not borrow `raw` (a lent view).
+    /// when `raw` is not the input this attribute was parsed from.
     pub fn tlv_span(&self, raw: &[u8]) -> Option<Span> {
         let value = Span::within(raw, self.value)?;
         let header = usize::from(self.header_len);
@@ -196,24 +186,6 @@ impl<'a> DnView<'a> {
         }
         DistinguishedName { rdns }
     }
-
-    fn lend(owned: &'a DistinguishedName) -> DnView<'a> {
-        let attrs = owned
-            .rdns
-            .iter()
-            .enumerate()
-            .flat_map(|(rdn, r)| {
-                r.attributes.iter().map(move |a| AttrView {
-                    oid: a.oid.clone(),
-                    tag_number: a.value.tag_number,
-                    value: &a.value.bytes,
-                    header_len: 0,
-                    rdn,
-                })
-            })
-            .collect();
-        DnView { attrs, rdn_count: owned.rdns.len() }
-    }
 }
 
 fn parse_atv_view<'a>(set: &mut Reader<'a>, rdn: usize) -> Result<AttrView<'a>> {
@@ -224,7 +196,7 @@ fn parse_atv_view<'a>(set: &mut Reader<'a>, rdn: usize) -> Result<AttrView<'a>> 
         if value_tlv.tag.class != Class::Universal {
             return Err(Error::WrongConstruction);
         }
-        // At most 14 octets: a 5-octet tag and a 9-octet length.
+        // At most 15 octets: a 6-octet tag and a 9-octet length.
         let header_len = u8::try_from(value_tlv.raw.len().saturating_sub(value_tlv.value.len()))
             .map_err(|_| Error::InvalidLength)?;
         let (tag_number, value) = (value_tlv.tag.number, value_tlv.value);
@@ -403,7 +375,8 @@ impl<'a> CertView<'a> {
     }
 
     /// Copy everything into the owned model ([`Certificate::parse_der`] is
-    /// [`CertView::parse_der`] followed by this copy).
+    /// [`CertView::parse_der`] followed by this copy). The DER is copied
+    /// once, into [`Certificate::raw`]; the TBS is kept as its range.
     pub fn to_owned(&self) -> Certificate {
         Certificate {
             tbs: TbsCertificate {
@@ -421,46 +394,8 @@ impl<'a> CertView<'a> {
                 unused_bits: self.signature_unused_bits,
                 bytes: self.signature.to_vec(),
             },
-            raw_tbs: self.raw_tbs.to_vec(),
             raw: self.raw.to_vec(),
-        }
-    }
-}
-
-impl Certificate {
-    /// Lend this certificate as a [`CertView`] without reading any DER:
-    /// the inverse of [`CertView::to_owned`]. Every slice borrows the owned
-    /// tree, so the view equals the parse of [`Certificate::raw`] in every
-    /// field but the DN attributes' `header_len`, and no span can be found
-    /// in it.
-    pub fn view(&self) -> CertView<'_> {
-        let tbs = &self.tbs;
-        CertView {
-            version: tbs.version,
-            serial: &tbs.serial,
-            tbs_signature_algorithm: AlgorithmIdentifierView::lend(&tbs.signature_algorithm),
-            issuer: DnView::lend(&tbs.issuer),
-            validity: tbs.validity.clone(),
-            subject: DnView::lend(&tbs.subject),
-            spki: SpkiView {
-                algorithm: AlgorithmIdentifierView::lend(&tbs.spki.algorithm),
-                public_key_unused_bits: tbs.spki.public_key.unused_bits,
-                public_key: &tbs.spki.public_key.bytes,
-            },
-            extensions: tbs
-                .extensions
-                .iter()
-                .map(|e| ExtensionView {
-                    oid: e.oid.clone(),
-                    critical: e.critical,
-                    value: &e.value,
-                })
-                .collect(),
-            signature_algorithm: AlgorithmIdentifierView::lend(&self.signature_algorithm),
-            signature_unused_bits: self.signature.unused_bits,
-            signature: &self.signature.bytes,
-            raw_tbs: &self.raw_tbs,
-            raw: &self.raw,
+            tbs_span: Span::within(self.raw, self.raw_tbs).unwrap_or_default(),
         }
     }
 }
@@ -554,7 +489,7 @@ mod tests {
         let view = CertView::parse_der(&cert.raw).unwrap();
         assert_eq!(view.version, cert.tbs.version);
         assert_eq!(view.serial, &cert.tbs.serial[..]);
-        assert_eq!(view.raw_tbs, &cert.raw_tbs[..]);
+        assert_eq!(view.raw_tbs, cert.raw_tbs());
         assert_eq!(view.validity, cert.tbs.validity);
         assert_eq!(view.subject.common_name().as_deref(), Some("example.com"));
         assert_eq!(view.issuer.organization().as_deref(), Some("Test CA"));

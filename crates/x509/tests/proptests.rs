@@ -39,7 +39,7 @@ proptest! {
         let parsed = Certificate::parse_der(&cert.raw).unwrap();
         prop_assert_eq!(&parsed.tbs, &cert.tbs);
         prop_assert_eq!(parsed.to_der(), cert.raw);
-        prop_assert!(key.verify(&parsed.raw_tbs, &parsed.signature.bytes));
+        prop_assert!(key.verify(parsed.raw_tbs(), &parsed.signature.bytes));
         prop_assert_eq!(parsed.tbs.validity.period_days(), days);
     }
 

@@ -40,9 +40,9 @@ fn main() {
     for (label, cert) in [("compliant", &good), ("noncompliant", &bad)] {
         // Round-trip through DER, as a consumer would.
         let parsed = Certificate::parse_der(&cert.raw).expect("well-formed DER");
-        assert!(ca.verify(&parsed.raw_tbs, &parsed.signature.bytes));
+        assert!(ca.verify(parsed.raw_tbs(), &parsed.signature.bytes));
 
-        let report = registry.run(&parsed, RunOptions::default());
+        let report = registry.run(&parsed, RunOptions::default()).unwrap();
         println!("── {label} certificate ──");
         println!("  subject: {}", unicert::x509::display::dn_to_string(
             &parsed.tbs.subject,

@@ -42,7 +42,7 @@ use unicert::lint::facts::{CharClasses, LabelShape};
 use unicert::lint::helpers::{self, Which};
 use unicert::lint::{default_registry, LintContext, RunOptions};
 use unicert::unicode::classify;
-use unicert::x509::{Certificate, CertificateBuilder, GeneralName, RawValue, SimKey};
+use unicert::x509::{CertView, Certificate, CertificateBuilder, GeneralName, RawValue, SimKey};
 
 fn raws(vals: &[CachedVal]) -> Vec<RawValue> {
     vals.iter().map(|v| v.raw().clone()).collect()
@@ -140,7 +140,7 @@ fn assert_facts_match_definitions(v: &CachedVal) {
 /// uncached oracle. Each accessor is exercised twice so the second (cached)
 /// read is covered as well as the first (computing) one.
 fn assert_context_matches_direct(cert: &Certificate) {
-    let view = cert.view();
+    let view = CertView::parse_der(&cert.raw).unwrap();
     let ctx = LintContext::from_view(&view);
     for _ in 0..2 {
         // Parsed-extension name lists.
@@ -277,8 +277,8 @@ fn assert_context_matches_direct(cert: &Certificate) {
 fn assert_registry_runs_identically(cert: &Certificate) {
     let reg = default_registry();
     for opts in [RunOptions::default(), RunOptions::ungated()] {
-        let direct = reg.run(cert, opts);
-        let view = cert.view();
+        let direct = reg.run(cert, opts).unwrap();
+        let view = CertView::parse_der(&cert.raw).unwrap();
         let ctx = LintContext::from_view(&view);
         // Pre-warm in an order no lint uses; memoization must be inert.
         let _ = ctx.explicit_texts();
@@ -399,7 +399,7 @@ fn edge_labels() -> Vec<String> {
 /// Every ACE-prefixed label in a certificate's DN values and SAN/IAN
 /// DNSNames.
 fn ace_labels_of(cert: &Certificate, out: &mut BTreeSet<String>) {
-    let view = cert.view();
+    let view = CertView::parse_der(&cert.raw).unwrap();
     let ctx = LintContext::from_view(&view);
     let dn = [Which::Subject, Which::Issuer].into_iter().flat_map(|w| ctx.dn_attrs(w)).map(|a| &a.val);
     for v in dn.chain(ctx.san_dns()).chain(ctx.ian_dns()) {
@@ -436,7 +436,7 @@ fn single_pass_label_info_matches_the_reference() {
     assert!(labels.len() > corpus_labels, "the golden vectors add ACE labels");
     labels.extend(edge_labels());
     let cert = CertificateBuilder::new().build_signed(&SimKey::from_seed("ctx-eq"));
-    let view = cert.view();
+    let view = CertView::parse_der(&cert.raw).unwrap();
     let ctx = LintContext::from_view(&view);
     for label in &labels {
         assert_eq!(ctx.label_info(label), reference_label_info(label), "{label:?}");
@@ -454,8 +454,8 @@ fn corpus_sweep_context_equivalence() {
     let opts = RunOptions::default();
     for entry in CorpusGenerator::new(config) {
         assert_context_matches_direct(&entry.cert);
-        let direct = reg.run(&entry.cert, opts);
-        let view = entry.cert.view();
+        let direct = reg.run(&entry.cert, opts).unwrap();
+        let view = CertView::parse_der(&entry.cert.raw).unwrap();
         let ctx = LintContext::from_view(&view);
         let _ = ctx.san();
         let via_ctx = reg.run_ctx(&ctx, opts);
@@ -499,7 +499,7 @@ fn both_storage_forms_match_direct() {
     assert_context_matches_direct(&cert);
     assert_registry_runs_identically(&cert);
 
-    let view = cert.view();
+    let view = CertView::parse_der(&cert.raw).unwrap();
     let ctx = LintContext::from_view(&view);
     let attrs = ctx.dn_attrs(Which::Subject);
     let (hits, misses) = ctx.cache_stats().dn_text();

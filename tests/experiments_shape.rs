@@ -147,7 +147,7 @@ fn section_5_1_impact_chain_reconstruction() {
     let mut encoding_errors = 0;
     let mut trusted_verified = 0;
     for e in &entries {
-        let rep = registry.run(&e.cert, RunOptions::default());
+        let rep = registry.run(&e.cert, RunOptions::default()).unwrap();
         if rep
             .findings
             .iter()
@@ -155,7 +155,7 @@ fn section_5_1_impact_chain_reconstruction() {
         {
             encoding_errors += 1;
             let issuer_key = SimKey::from_seed(&e.meta.issuer_org);
-            if issuer_key.verify(&e.cert.raw_tbs, &e.cert.signature.bytes)
+            if issuer_key.verify(e.cert.raw_tbs(), &e.cert.signature.bytes)
                 && e.meta.trust == TrustStatus::Public
             {
                 trusted_verified += 1;

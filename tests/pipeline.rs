@@ -63,7 +63,7 @@ fn ground_truth_detection_has_no_false_negatives() {
             continue;
         }
         if let (Some(defect), false) = (entry.meta.injected, entry.meta.latent) {
-            let report = registry.run(&entry.cert, RunOptions::default());
+            let report = registry.run(&entry.cert, RunOptions::default()).unwrap();
             assert!(
                 report.findings.iter().any(|f| f.lint == defect.expected_lint()),
                 "{defect:?} missed"

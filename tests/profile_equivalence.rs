@@ -94,7 +94,7 @@ fn finding_for(
     cert: &unicert::x509::Certificate,
     lint: &str,
 ) -> Option<String> {
-    let report = registry.run(cert, RunOptions::default());
+    let report = registry.run(cert, RunOptions::default()).unwrap();
     report
         .findings
         .iter()

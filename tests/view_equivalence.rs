@@ -2,9 +2,9 @@
 //! decoder, and the owned [`Certificate`] is a copy of what it decoded.
 //!
 //! `Certificate::parse_der` is the view parse followed by
-//! [`CertView::to_owned`], and [`Certificate::view`] lends an owned
-//! certificate back as a view without reading DER. The suite checks the
-//! properties that let every other layer trust that one decoder:
+//! [`CertView::to_owned`], and every owned certificate is linted through
+//! the view parsed from its `raw`. The suite checks the properties that let
+//! every other layer trust that one decoder:
 //!
 //! - **round trip**: on a fixed-seed 10 000-certificate corpus (the survey
 //!   benchmark's generator, latent defects on, precertificates included)
@@ -12,15 +12,14 @@
 //!   the certificate the builder made; every golden vector
 //!   (`tests/vectors/webpki` + `tests/vectors/bimi`) re-encodes from its
 //!   owned parse to its own bytes;
-//! - **lend**: a lent view equals the parsed view in every field but the
-//!   attributes' header lengths, which only an encoding has, and lints to
-//!   the same findings (one corpus certificate in 100, every golden
-//!   vector);
+//! - **one DER copy**: `raw_tbs()` is the TBS element of `raw` for every
+//!   constructor (signed leaf, precertificate twin, `parse_der`, store
+//!   decode, CRL);
 //! - **RDN shapes**: hand-built subject names in the shapes no corpus or
 //!   golden certificate has (a two-attribute RDN, an empty SET, an empty
 //!   DN) round trip through the view's flat attribute list;
-//! - **records**: the corpus surveyed as generated entries (lent views)
-//!   and as store records (parsed views) gives equal reports;
+//! - **records**: the corpus surveyed as generated entries and as store
+//!   records gives equal reports;
 //! - **budget**: the parse budget charges every TLV the decoder reads, and
 //!   runs out one element short;
 //! - **extension values**: decoded outside the budget, they are bounded by
@@ -31,9 +30,10 @@
 
 use std::path::PathBuf;
 use unicert::corpus::{CorpusConfig, CorpusEntry, CorpusGenerator, RawEntry};
-use unicert::lint::{default_registry, LintContext, RunOptions};
+use unicert::lint::RunOptions;
 use unicert::survey::{self, SurveyOptions};
 use unicert::x509::extensions::parse_extension_value;
+use unicert::x509::crl::{CertificateList, RevokedCert, TbsCertList};
 use unicert::x509::{
     AttrView, CertView, Certificate, CertificateBuilder, DistinguishedName, Extension,
     ParsedExtension, SimKey,
@@ -70,35 +70,6 @@ fn corpus_config() -> CorpusConfig {
     CorpusConfig { size: 10_000, seed: 42, precert_fraction: 0.05, latent_defects: true }
 }
 
-/// `view` with every DN attribute's header length cleared, as a lent view
-/// has it.
-fn without_headers(mut view: CertView<'_>) -> CertView<'_> {
-    for attr in view.issuer.attrs.iter_mut().chain(view.subject.attrs.iter_mut()) {
-        attr.header_len = 0;
-    }
-    view
-}
-
-/// The view lent from `cert` equals the view parsed from its DER, apart
-/// from the header lengths only an encoding has, and both lint to the same
-/// findings.
-fn assert_lend_matches_parse(label: &str, cert: &Certificate) {
-    let parsed = CertView::parse_der(&cert.raw)
-        .unwrap_or_else(|e| panic!("{label}: the certificate's DER does not parse ({e:?})"));
-    let lent = cert.view();
-    let attrs = |v: &CertView<'_>| -> Vec<u8> {
-        v.issuer.attributes().chain(v.subject.attributes()).map(|a| a.header_len).collect()
-    };
-    assert!(attrs(&parsed).iter().all(|&h| h >= 2), "{label}: parsed header lengths");
-    assert!(attrs(&lent).iter().all(|&h| h == 0), "{label}: lent header lengths");
-    assert_eq!(without_headers(parsed.clone()), lent, "{label}: lent view");
-
-    let registry = default_registry();
-    let from_parse = registry.run_ctx(&LintContext::from_view(&parsed), RunOptions::default());
-    let from_lend = registry.run_ctx(&LintContext::from_view(&lent), RunOptions::default());
-    assert_eq!(from_lend.findings, from_parse.findings, "{label}: lint findings");
-}
-
 #[test]
 fn seeded_10k_corpus_views_match_owned() {
     let mut checked = 0usize;
@@ -107,25 +78,77 @@ fn seeded_10k_corpus_views_match_owned() {
         let view = CertView::parse_der_budgeted(&entry.cert.raw, &state)
             .unwrap_or_else(|e| panic!("corpus[{i}]: generated certificate rejected ({e:?})"));
         assert_eq!(view.to_owned(), entry.cert, "corpus[{i}]: round trip");
-        // The lint runs dominate: lend on a deterministic sample.
-        if i % 100 == 0 {
-            assert_lend_matches_parse(&format!("corpus[{i}]"), &entry.cert);
-        }
         checked += 1;
     }
     // Precertificate pairs can push the stream slightly past `size`.
     assert!(checked >= 10_000, "only {checked} certificates checked");
 }
 
+/// The TBSCertificate element of a certificate (or CRL) DER: the first
+/// element inside the outer SEQUENCE, read independently of the decoder.
+fn tbs_element(der: &[u8]) -> &[u8] {
+    let outer = unicert_asn1::reader::parse_single(der).expect("one outer SEQUENCE");
+    outer.contents().read_tlv().expect("a TBS element").raw
+}
+
+/// `raw_tbs()` is a range of `raw`, the one stored copy of the DER: for a
+/// signed leaf, a precertificate twin and the `parse_der` of each on the
+/// 20k/seed-42 corpus, for every golden vector, and for a built and a
+/// parsed CRL.
+#[test]
+fn raw_tbs_is_the_tbs_element_of_raw_for_every_constructor() {
+    let config = CorpusConfig { size: 20_000, ..corpus_config() };
+    let (mut leaves, mut twins) = (0usize, 0usize);
+    for (i, entry) in CorpusGenerator::new(config).enumerate() {
+        let cert = &entry.cert;
+        assert_eq!(cert.raw_tbs(), tbs_element(&cert.raw), "corpus[{i}]: signed");
+        let parsed = Certificate::parse_der(&cert.raw).expect("generated DER parses");
+        assert_eq!(parsed.raw_tbs(), tbs_element(&parsed.raw), "corpus[{i}]: parse_der");
+        if entry.meta.is_precert {
+            twins += 1;
+        } else {
+            leaves += 1;
+        }
+    }
+    assert!(leaves >= 20_000 * 9 / 10 && twins > 0, "{leaves} leaves, {twins} twins");
+    for profile in ["webpki", "bimi"] {
+        for (name, der) in vector_ders(profile) {
+            let cert = Certificate::parse_der(&der).expect("golden vector parses");
+            assert_eq!(cert.raw_tbs(), tbs_element(&der), "{name}");
+        }
+    }
+    let key = SimKey::from_seed("raw-tbs-crl");
+    let tbs = TbsCertList {
+        issuer: DistinguishedName::from_attributes(&[(
+            known::organization_name(),
+            StringKind::Utf8,
+            "CRL CA",
+        )]),
+        this_update: DateTime::date(2024, 6, 1).unwrap(),
+        next_update: DateTime::date(2024, 7, 1).unwrap(),
+        revoked: (0..200u8)
+            .map(|i| RevokedCert {
+                serial: vec![i, 1, 2],
+                revocation_date: DateTime::date(2024, 5, 1).unwrap(),
+            })
+            .collect(),
+    };
+    let built = CertificateList::build(tbs, &key);
+    let parsed = CertificateList::parse_der(&built.raw).expect("built CRL parses");
+    for crl in [&built, &parsed] {
+        assert_eq!(crl.raw_tbs(), tbs_element(&crl.raw));
+        assert!(crl.verify(&key));
+    }
+}
+
 /// Every golden vector of `profile` re-encodes from its owned parse to its
-/// own bytes, and lends a view equal to its parse.
+/// own bytes.
 fn assert_golden_vectors_round_trip(profile: &str) {
     for (name, der) in vector_ders(profile) {
         let cert = Certificate::parse_der(&der)
             .unwrap_or_else(|e| panic!("{name}: golden vector does not parse ({e:?})"));
         assert_eq!(cert.raw, der, "{name}: raw");
         assert_eq!(cert.to_der(), der, "{name}: re-encodes to its input");
-        assert_lend_matches_parse(&name, &cert);
     }
 }
 
@@ -139,9 +162,9 @@ fn golden_bimi_vectors_views_match_owned() {
     assert_golden_vectors_round_trip("bimi");
 }
 
-/// The survey reads a generated entry through a view lent from its tree
-/// and a store record through a view parsed from its DER: over the same
-/// corpus, the two reports are equal.
+/// The survey reads a generated entry through its `raw` and a store record
+/// through its borrowed DER: over the same corpus, the two reports are
+/// equal.
 #[test]
 fn corpus_entries_and_records_survey_identically() {
     let corpus: Vec<CorpusEntry> = CorpusGenerator::new(corpus_config()).collect();
@@ -151,11 +174,11 @@ fn corpus_entries_and_records_survey_identically() {
         lint: RunOptions { threads: Some(1), ..RunOptions::default() },
         ..SurveyOptions::default()
     };
-    let lent = survey::survey(opts.registry(), &corpus, opts, 0);
+    let entries = survey::survey(opts.registry(), &corpus, opts, 0);
     let parsed = survey::survey(opts.registry(), &records, opts, 0);
-    assert!(lent.precerts_filtered > 0, "the corpus carries precertificates");
-    assert!(lent.quarantine.is_empty(), "no generated certificate is quarantined");
-    assert_eq!(lent, parsed, "entries and records diverged on the same DER");
+    assert!(entries.precerts_filtered > 0, "the corpus carries precertificates");
+    assert!(entries.quarantine.is_empty(), "no generated certificate is quarantined");
+    assert_eq!(entries, parsed, "entries and records diverged on the same DER");
 }
 
 /// A `Name` written with the asn1 [`Writer`]: one SET per inner slice,
@@ -253,7 +276,6 @@ fn flat_dn_view_matches_owned_on_hand_built_rdn_shapes() {
                 "{label}: first_value {oid:?}"
             );
         }
-        assert_lend_matches_parse(label, &cert);
     }
 }
 
