@@ -116,8 +116,8 @@ proptest! {
         // Parse must return, never panic; lints must run on whatever parses.
         if let Ok(mutated) = Certificate::parse_der(&der) {
             let registry = default_registry();
-            let _ = registry.run(&mutated, RunOptions::default());
-            let _ = registry.run(&mutated, RunOptions::ungated());
+            let _ = registry.run(&mutated.raw, RunOptions::default());
+            let _ = registry.run(&mutated.raw, RunOptions::ungated());
         }
     }
 

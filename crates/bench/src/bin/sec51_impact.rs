@@ -22,7 +22,7 @@ fn main() {
 
     for entry in CorpusGenerator::new(config) {
         let report = registry
-            .run(&entry.cert, RunOptions::default())
+            .run(&entry.cert.raw, RunOptions::default())
             .expect("a generated certificate's DER parses");
         let enc_findings: Vec<_> = report
             .findings
@@ -33,19 +33,15 @@ fn main() {
             continue;
         }
         encoding_errors += 1;
+        let cert = entry.cert.parse().expect("a generated certificate's DER parses");
         // Chain reconstruction: AIA caIssuers URL → issuer key → verify.
-        if entry
-            .cert
-            .tbs
-            .extension(&unicert::asn1::oid::known::authority_info_access())
-            .is_some()
-        {
+        if cert.tbs.extension(&unicert::asn1::oid::known::authority_info_access()).is_some() {
             aia_present += 1;
         }
         // Full chain reconstruction: DN-match the issuing CA in the trust
         // store, then verify the signature and both validity windows.
-        let at = entry.cert.tbs.validity.not_before.plus_days(1);
-        let verified = store.verify_leaf(&entry.cert, &at).is_ok();
+        let at = cert.tbs.validity.not_before.plus_days(1);
+        let verified = store.verify_leaf(&cert, &at).is_ok();
         if verified && entry.meta.trust == TrustStatus::Public {
             trusted_verified += 1;
         }

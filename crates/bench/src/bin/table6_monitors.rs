@@ -87,11 +87,11 @@ fn main() {
             break;
         }
         if registry
-            .run(&entry.cert, unicert::lint::RunOptions::default())
+            .run(&entry.cert.raw, unicert::lint::RunOptions::default())
             .expect("a generated certificate's DER parses")
             .is_noncompliant()
         {
-            sampled.push(entry.cert);
+            sampled.push(entry.cert.parse().expect("a generated certificate's DER parses"));
         }
     }
     println!(

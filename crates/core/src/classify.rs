@@ -9,7 +9,7 @@ use unicert_asn1::oid::known;
 use unicert_lint::helpers::Which;
 use unicert_lint::LintContext;
 use unicert_x509::value::wire_text;
-use unicert_x509::{CertView, Certificate, GeneralName};
+use unicert_x509::{CertView, GeneralName};
 
 /// Classification of one certificate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,11 +57,10 @@ fn classify_name(name: &GeneralName) -> (bool, bool) {
     (value_has_unicode(&v.bytes), idn)
 }
 
-/// Classify a certificate through the view parsed from its
-/// [`Certificate::raw`]; a certificate whose `raw` does not parse comes
-/// back as the parse error.
-pub fn classify(cert: &Certificate) -> unicert_asn1::Result<UnicertClass> {
-    let view = CertView::parse_der(&cert.raw)?;
+/// Classify a certificate through the view parsed from its DER; DER that
+/// does not parse comes back as the parse error.
+pub fn classify(der: &[u8]) -> unicert_asn1::Result<UnicertClass> {
+    let view = CertView::parse_der(der)?;
     let class = classify_ctx(&LintContext::from_view(&view));
     Ok(class)
 }
@@ -129,9 +128,10 @@ mod tests {
     use unicert_asn1::DateTime;
     use unicert_x509::{CertificateBuilder, SimKey};
 
-    fn build(f: impl FnOnce(CertificateBuilder) -> CertificateBuilder) -> Certificate {
+    fn build(f: impl FnOnce(CertificateBuilder) -> CertificateBuilder) -> Vec<u8> {
         f(CertificateBuilder::new().validity_days(DateTime::date(2024, 6, 1).unwrap(), 90))
             .build_signed(&SimKey::from_seed("classify-ca"))
+            .raw
     }
 
     #[test]

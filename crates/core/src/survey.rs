@@ -530,8 +530,8 @@ fn hex_serial(serial: &[u8]) -> String {
 /// The survey reduces every input form to this shape:
 ///
 /// * [`CorpusEntry`] — a generated certificate, its DER the
-///   [`Certificate::raw`] the generator signed, with its metadata
-///   borrowed;
+///   [`CertDer::raw`](unicert_x509::CertDer::raw) the generator signed,
+///   with its metadata borrowed;
 /// * [`RawEntry`] — a store record, its DER borrowed from a segment
 ///   buffer;
 /// * `Vec<u8>` — bare bytes, possibly hostile, with metadata inferred
@@ -1201,6 +1201,11 @@ mod tests {
         serial.last().is_some_and(|b| b % 8 == 3)
     }
 
+    /// A generated entry's serial, parsed out of its DER.
+    fn serial(entry: &CorpusEntry) -> Vec<u8> {
+        entry.cert.parse().unwrap().tbs.serial
+    }
+
     /// The default registry plus one deliberately panicking lint.
     fn sabotaged_registry() -> unicert_lint::Registry {
         use unicert_lint::{Lint, LintStatus, Source};
@@ -1237,7 +1242,7 @@ mod tests {
         let affected: Vec<u64> = entries
             .iter()
             .enumerate()
-            .filter(|(_, e)| panics_on(&e.cert.tbs.serial))
+            .filter(|(_, e)| panics_on(&serial(e)))
             .map(|(i, _)| i as u64)
             .collect();
         assert!(!affected.is_empty(), "predicate must hit the corpus");
@@ -1251,7 +1256,7 @@ mod tests {
         // and one quarantine record per affected cert.
         let spared: Vec<_> = entries
             .iter()
-            .filter(|e| !panics_on(&e.cert.tbs.serial))
+            .filter(|e| !panics_on(&serial(e)))
             .cloned()
             .collect();
         let mut expected = survey(unicert_corpus::lint_registry(), &spared, threads(1), 0);
@@ -1261,7 +1266,7 @@ mod tests {
             .iter()
             .map(|&index| QuarantineEntry {
                 index,
-                cert_id: hex_serial(&entries[index as usize].cert.tbs.serial),
+                cert_id: hex_serial(&serial(&entries[index as usize])),
                 stage: "lint",
                 detail: "injected lint panic".to_string(),
                 flight: Vec::new(),
@@ -1365,7 +1370,7 @@ mod tests {
         let report = crate::pool::quiet_panics(|| survey(&sabotaged, &entries, opts, 0));
         assert!(!report.quarantine.is_empty());
         for q in &report.quarantine {
-            assert!(panics_on(&entries[q.index as usize].cert.tbs.serial), "index {}", q.index);
+            assert!(panics_on(&serial(&entries[q.index as usize])), "index {}", q.index);
             // The flight dump's unit id is the same global stream index.
             assert!(
                 q.flight.first().is_some_and(|l| l.starts_with(&format!("unit {} ", q.index))),

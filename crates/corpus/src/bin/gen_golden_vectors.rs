@@ -480,7 +480,7 @@ fn write_profile(out_dir: &PathBuf, profile: &str, registry: &Registry) -> Resul
         .ok_or_else(|| format!("no clean-control recipe for profile {profile}"))?
         .build_signed(&key);
     let report = registry
-        .run(&control, RunOptions::default())
+        .run(&control.raw, RunOptions::default())
         .map_err(|e| format!("{profile}: control cert does not parse: {e}"))?;
     if !report.findings.is_empty() {
         return Err(format!("{profile}: control cert not clean: {:?}", report.findings));
@@ -495,7 +495,7 @@ fn write_profile(out_dir: &PathBuf, profile: &str, registry: &Registry) -> Resul
         })?;
         let cert = builder.build_signed(&key);
         let report = registry
-            .run(&cert, RunOptions::default())
+            .run(&cert.raw, RunOptions::default())
             .map_err(|e| format!("{profile}/{}: vector does not parse: {e}", lint.name))?;
         if !report.findings.iter().any(|f| f.lint == lint.name) {
             return Err(format!(

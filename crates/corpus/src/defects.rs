@@ -484,7 +484,7 @@ mod tests {
                 .validity_days(DateTime::date(2024, 7, 1).unwrap(), 90);
             let built = apply(defect, base, "Base Org", host, &mut rng)
                 .build_signed(&SimKey::from_seed("defect-ca"));
-            let report = reg.run(&built, RunOptions::default()).unwrap();
+            let report = reg.run(&built.raw, RunOptions::default()).unwrap();
             let expected = defect.expected_lint();
             assert!(
                 report.findings.iter().any(|f| f.lint == expected),

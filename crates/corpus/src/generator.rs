@@ -14,7 +14,8 @@ use unicert_asn1::{DateTime, StringKind};
 use unicert_x509::extensions::{authority_info_access, AccessDescription};
 use unicert_x509::value::lossy_text;
 use unicert_x509::{
-    Certificate, CertView, CertificateBuilder, DistinguishedName, Extension, GeneralName, SimKey,
+    CertDer, CertView, Certificate, CertificateBuilder, DistinguishedName, Extension, GeneralName,
+    SimKey,
 };
 
 /// Generator configuration.
@@ -114,21 +115,22 @@ impl CertMeta {
     }
 }
 
-/// One corpus entry.
+/// One corpus entry: a certificate's DER and its metadata, the owned twin
+/// of [`RawEntry`]. The decoded model is one [`CertDer::parse`] away; the
+/// survey and the store read the DER alone.
 #[derive(Debug, Clone)]
 pub struct CorpusEntry {
-    /// The certificate (parsed model + raw DER).
-    pub cert: Certificate,
+    /// The certificate, exactly as encoded.
+    pub cert: CertDer,
     /// Ground-truth metadata.
     pub meta: CertMeta,
 }
 
-/// A [`CorpusEntry`] that has not been decoded yet: the certificate's raw
-/// DER borrowed from wherever it already lives (a segment read buffer, a
-/// memory-mapped corpus), plus its owned metadata. This is the currency of
-/// the zero-copy survey path — the DER is parsed into a
-/// [`unicert_x509::CertView`] at lint time instead of being copied into an
-/// owned [`Certificate`] up front.
+/// A [`CorpusEntry`] whose DER is borrowed from wherever it already lives
+/// (a segment read buffer, a memory-mapped corpus), plus its owned
+/// metadata. This is the currency of the zero-copy survey path — the DER
+/// is parsed into a [`unicert_x509::CertView`] at lint time and never
+/// copied.
 #[derive(Debug, Clone)]
 pub struct RawEntry<'a> {
     /// The certificate, exactly as encoded.
@@ -202,7 +204,9 @@ impl CorpusGenerator {
         CorpusGenerator::new(config).collect()
     }
 
-    fn next_entry(&mut self) -> CorpusEntry {
+    /// The next leaf, as its signed model: the twin, if one is drawn, is
+    /// built from it before it is reduced to its DER.
+    fn next_entry(&mut self) -> (Certificate, CertMeta) {
         let issuer = pick_issuer(&mut self.rng, &self.issuers, self.share_total);
         let profile = &issuer.profile;
         let year = trend::sample_year(&mut self.rng, profile.active.0, profile.active.1);
@@ -302,20 +306,17 @@ impl CorpusGenerator {
             _ => false,
         });
         let cert = builder.build_signed(&issuer.key);
-
-        CorpusEntry {
-            cert,
-            meta: CertMeta {
-                issuer_org: profile.org_name.to_string(),
-                trust: profile.trust,
-                issued,
-                validity_days,
-                is_idn_cert,
-                injected: defect,
-                latent,
-                is_precert: false,
-            },
-        }
+        let meta = CertMeta {
+            issuer_org: profile.org_name.to_string(),
+            trust: profile.trust,
+            issued,
+            validity_days,
+            is_idn_cert,
+            injected: defect,
+            latent,
+            is_precert: false,
+        };
+        (cert, meta)
     }
 }
 
@@ -390,15 +391,24 @@ impl Iterator for CorpusGenerator {
         // the "DER parse" leg of the pipeline breakdown. Timing is a pure
         // observation: the RNG stream and the entry are untouched by it.
         let started = unicert_telemetry::metrics_enabled().then(std::time::Instant::now);
-        let entry = self.next_entry();
+        let (cert, meta) = self.next_entry();
         if self.config.precert_fraction > 0.0 && self.rng.gen_bool(self.config.precert_fraction) {
-            self.pending_precert = Some(make_precert_twin(&entry));
+            self.pending_precert = Some(make_precert_twin(&cert, &meta));
         }
         if let Some(started) = started {
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             generate_histogram().record(nanos);
         }
-        Some(entry)
+        Some(CorpusEntry { cert: cert.into(), meta })
+    }
+
+    /// Exact when `precert_fraction` is 0; otherwise every leaf still to
+    /// come may bring a twin.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let leaves = self.config.size.saturating_sub(self.produced);
+        let lower = leaves + usize::from(self.pending_precert.is_some());
+        let twins = if self.config.precert_fraction > 0.0 { leaves } else { 0 };
+        (lower, lower.checked_add(twins))
     }
 }
 
@@ -422,14 +432,14 @@ fn expected_nc_factor(lo: i32, hi: i32) -> f64 {
     }
 }
 
-/// Build the CT-poisoned precertificate twin of an entry (§4.1: filtered
+/// Build the CT-poisoned precertificate twin of a leaf (§4.1: filtered
 /// out of analysis by the poison extension).
-fn make_precert_twin(entry: &CorpusEntry) -> CorpusEntry {
-    let mut tbs = entry.cert.tbs.clone();
+fn make_precert_twin(cert: &Certificate, meta: &CertMeta) -> CorpusEntry {
+    let mut tbs = cert.tbs.clone();
     tbs.extensions.insert(0, unicert_x509::extensions::ct_poison());
     CorpusEntry {
-        cert: Certificate::sign(tbs, &SimKey::from_seed(&entry.meta.issuer_org)),
-        meta: CertMeta { is_precert: true, ..entry.meta.clone() },
+        cert: Certificate::sign(tbs, &SimKey::from_seed(&meta.issuer_org)).into(),
+        meta: CertMeta { is_precert: true, ..meta.clone() },
     }
 }
 
@@ -456,12 +466,12 @@ mod tests {
     #[test]
     fn all_entries_are_unicerts() {
         for e in small_corpus(300, 1) {
-            let subject_unicode = e
-                .cert
+            let cert = e.cert.parse().unwrap();
+            let subject_unicode = cert
                 .tbs
                 .subject
                 .attributes()
-                .chain(e.cert.tbs.issuer.attributes())
+                .chain(cert.tbs.issuer.attributes())
                 .any(|a| {
                     a.value
                         .decode_wire()
@@ -469,15 +479,15 @@ mod tests {
                         .unwrap_or(true)
                 });
             let idn = e.meta.is_idn_cert;
-            assert!(subject_unicode || idn, "not a Unicert: {:?}", e.cert.tbs.subject);
+            assert!(subject_unicode || idn, "not a Unicert: {:?}", cert.tbs.subject);
         }
     }
 
     #[test]
     fn signed_encoding_equals_the_model_reencoded() {
         // Certificates are encoded around the TBS bytes they were signed
-        // over; re-encoding the whole model must give the same bytes, for
-        // leaves and for precertificate twins.
+        // over; re-encoding the model parsed out of `raw` must give the
+        // same bytes, for leaves and for precertificate twins.
         let corpus = CorpusGenerator::collect_all(CorpusConfig {
             size: 2_000,
             seed: 24,
@@ -486,12 +496,65 @@ mod tests {
         });
         assert!(corpus.iter().any(|e| e.meta.is_precert));
         for (i, e) in corpus.iter().enumerate() {
-            assert_eq!(e.cert.raw, e.cert.to_der(), "entry {i}");
-            assert_eq!(e.cert.raw_tbs(), e.cert.tbs.to_der(), "entry {i}");
+            let cert = e.cert.parse().unwrap();
+            assert_eq!(e.cert.raw, cert.to_der(), "entry {i}");
+            assert_eq!(cert.raw_tbs(), cert.tbs.to_der(), "entry {i}");
             // The IDN flag read off the builder's SAN list agrees with the
             // SAN parsed back out of the certificate.
-            let parsed = e.cert.tbs.san_dns_names().iter().any(|h| subjects::is_idn(h));
+            let parsed = cert.tbs.san_dns_names().iter().any(|h| subjects::is_idn(h));
             assert_eq!(e.meta.is_idn_cert, parsed, "entry {i}");
+        }
+    }
+
+    #[test]
+    fn precert_twins_are_their_leaf_poisoned_and_signed_again() {
+        // Twins are built from the leaf's model before the model is
+        // dropped; the same twin must come out of the leaf's DER parsed
+        // again.
+        let corpus = CorpusGenerator::collect_all(CorpusConfig {
+            size: 2_000,
+            seed: 24,
+            precert_fraction: 0.5,
+            latent_defects: true,
+        });
+        let mut twins = 0;
+        for (i, pair) in corpus.windows(2).enumerate() {
+            let (leaf, twin) = (&pair[0], &pair[1]);
+            if !twin.meta.is_precert {
+                continue;
+            }
+            assert!(!leaf.meta.is_precert, "entry {i}");
+            let mut tbs = leaf.cert.parse().unwrap().tbs;
+            tbs.extensions.insert(0, unicert_x509::extensions::ct_poison());
+            let key = SimKey::from_seed(&leaf.meta.issuer_org);
+            assert_eq!(Certificate::sign(tbs, &key).raw, twin.cert.raw, "entry {}", i + 1);
+            twins += 1;
+        }
+        assert!(twins > 800, "{twins} twins");
+    }
+
+    #[test]
+    fn size_hint_brackets_the_entries_still_to_come() {
+        for size in [0, 1, 100] {
+            for precert_fraction in [0.0, 0.5, 1.0] {
+                let config = CorpusConfig { size, seed: 5, precert_fraction, latent_defects: true };
+                let mut remaining = CorpusGenerator::new(config.clone()).count();
+                let mut generator = CorpusGenerator::new(config);
+                loop {
+                    let (lower, upper) = generator.size_hint();
+                    let upper = upper.unwrap();
+                    let case = format!("size {size}, fraction {precert_fraction}, {remaining} left");
+                    assert!(lower <= remaining && remaining <= upper, "{case}: {lower}..={upper}");
+                    if precert_fraction == 0.0 {
+                        assert_eq!((lower, upper), (remaining, remaining), "{case}");
+                    }
+                    if generator.next().is_none() {
+                        assert_eq!(remaining, 0, "{case}");
+                        break;
+                    }
+                    remaining -= 1;
+                }
+            }
         }
     }
 
@@ -499,7 +562,8 @@ mod tests {
     fn signatures_verify_with_issuer_keys() {
         for e in small_corpus(100, 2) {
             let key = SimKey::from_seed(&e.meta.issuer_org);
-            assert!(key.verify(e.cert.raw_tbs(), &e.cert.signature.bytes), "{}", e.meta.issuer_org);
+            let cert = e.cert.parse().unwrap();
+            assert!(key.verify(cert.raw_tbs(), &cert.signature.bytes), "{}", e.meta.issuer_org);
         }
     }
 
@@ -509,7 +573,7 @@ mod tests {
         let mut nc_found = 0;
         let mut clean_violations = 0;
         for e in small_corpus(800, 3) {
-            let report = reg.run(&e.cert, RunOptions::default()).unwrap();
+            let report = reg.run(&e.cert.raw, RunOptions::default()).unwrap();
             match (&e.meta.injected, e.meta.latent) {
                 (Some(d), false) => {
                     assert!(
@@ -523,7 +587,7 @@ mod tests {
                     // Latent: invisible when gated...
                     assert!(report.findings.is_empty(), "latent visible: {:?}", report.findings);
                     // ...but visible ungated.
-                    let ungated = reg.run(&e.cert, RunOptions::ungated()).unwrap();
+                    let ungated = reg.run(&e.cert.raw, RunOptions::ungated()).unwrap();
                     assert!(!ungated.findings.is_empty());
                 }
                 (None, _) => {
@@ -543,7 +607,7 @@ mod tests {
         let corpus = small_corpus(20_000, 42);
         let nc = corpus
             .iter()
-            .filter(|e| reg.run(&e.cert, RunOptions::default()).unwrap().is_noncompliant())
+            .filter(|e| reg.run(&e.cert.raw, RunOptions::default()).unwrap().is_noncompliant())
             .count();
         let rate = nc as f64 / corpus.len() as f64;
         // Paper: 0.72%. Allow a band.
@@ -561,7 +625,7 @@ mod tests {
         let pre = corpus.iter().filter(|e| e.meta.is_precert).count();
         assert!(pre > 30, "{pre}");
         for e in &corpus {
-            assert_eq!(e.meta.is_precert, e.cert.tbs.is_precertificate());
+            assert_eq!(e.meta.is_precert, e.cert.parse().unwrap().tbs.is_precertificate());
         }
     }
 
@@ -571,7 +635,7 @@ mod tests {
         let mut warnings = 0;
         let mut errors = 0;
         for e in small_corpus(5_000, 11) {
-            let report = reg.run(&e.cert, RunOptions::default()).unwrap();
+            let report = reg.run(&e.cert.raw, RunOptions::default()).unwrap();
             for f in report.findings {
                 match f.severity {
                     Severity::Warning => warnings += 1,

@@ -69,11 +69,12 @@ mod tests {
             precert_fraction: 0.0,
             latent_defects: false,
         }) {
-            let at = entry.cert.tbs.validity.not_before.plus_days(1);
+            let cert = entry.cert.parse().unwrap();
+            let at = cert.tbs.validity.not_before.plus_days(1);
             store
-                .verify_leaf(&entry.cert, &at)
+                .verify_leaf(&cert, &at)
                 .unwrap_or_else(|e| panic!("{}: {e:?}", entry.meta.issuer_org));
-            let chain = store.build_chain(&entry.cert).unwrap();
+            let chain = store.build_chain(&cert).unwrap();
             assert_eq!(chain.len(), 2);
             // The CA end of the chain is self-signed.
             assert_eq!(chain[1].tbs.issuer, chain[1].tbs.subject);

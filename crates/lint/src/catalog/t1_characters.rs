@@ -292,7 +292,7 @@ mod tests {
             .add_dns_san("clean.example.com")
             .build_signed(&SimKey::from_seed("ca"));
         let reg = crate::catalog::default_registry();
-        let report = reg.run(&cert, RunOptions::default()).unwrap();
+        let report = reg.run(&cert.raw, RunOptions::default()).unwrap();
         assert!(
             report.findings.is_empty(),
             "unexpected findings: {:?}",

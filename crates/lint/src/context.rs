@@ -10,7 +10,7 @@
 //!
 //! The context reads one certificate representation, a [`CertView`]: the
 //! zero-copy parse of the certificate's DER, whether that DER is a store
-//! record or an owned [`Certificate`]'s `raw`. Memoization is
+//! record, a corpus entry or an owned [`Certificate`]'s `raw`. Memoization is
 //! invalidation-free by construction — the context borrows an immutable
 //! view and nothing mutates it during a run, so a cached value can never
 //! go stale. The context is intentionally `!Send`/`!Sync`
@@ -1166,7 +1166,7 @@ mod tests {
             .build_signed(&SimKey::from_seed("ctx-ev"));
         let registry = crate::catalog::default_registry();
         let opts = crate::framework::RunOptions { evidence: true, ..Default::default() };
-        let report = registry.run(&cert, opts).unwrap();
+        let report = registry.run(&cert.raw, opts).unwrap();
         assert!(report.is_noncompliant());
         for f in &report.findings {
             assert!(!f.evidence.is_empty(), "{} has no evidence", f.lint);
@@ -1267,14 +1267,14 @@ mod tests {
             .add_dns_san("a.example")
             .build_signed(&SimKey::from_seed("ctx-ev"));
         let registry = crate::catalog::default_registry();
-        assert!(registry.run(&cert, crate::framework::RunOptions::default()).is_ok());
+        assert!(registry.run(&cert.raw, crate::framework::RunOptions::default()).is_ok());
         // Trailing garbage: the tree is intact, its encoding no longer
         // parses, so the certificate is not linted at all.
         cert.raw.push(0x00);
         let err = CertView::parse_der(&cert.raw).unwrap_err();
         for evidence in [false, true] {
             let opts = crate::framework::RunOptions { evidence, ..Default::default() };
-            assert_eq!(registry.run(&cert, opts).unwrap_err(), err, "evidence {evidence}");
+            assert_eq!(registry.run(&cert.raw, opts).unwrap_err(), err, "evidence {evidence}");
         }
     }
 
@@ -1284,7 +1284,7 @@ mod tests {
             .subject_cn("mu\u{308}nchen")
             .build_signed(&SimKey::from_seed("ctx-ev"));
         let registry = crate::catalog::default_registry();
-        let report = registry.run(&cert, crate::framework::RunOptions::default()).unwrap();
+        let report = registry.run(&cert.raw, crate::framework::RunOptions::default()).unwrap();
         assert!(report.is_noncompliant());
         assert!(report.findings.iter().all(|f| f.evidence.is_empty()));
     }

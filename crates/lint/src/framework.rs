@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use unicert_asn1::DateTime;
-use unicert_x509::{CertView, Certificate};
+use unicert_x509::CertView;
 
 use crate::context::LintContext;
 
@@ -632,13 +632,12 @@ impl Registry {
     /// histogram. The findings are identical either way: telemetry never
     /// feeds back into the report.
     ///
-    /// The certificate is linted through the view parsed from
-    /// [`Certificate::raw`], as the survey lints DER; with
-    /// [`RunOptions::evidence`] its findings carry spans into `raw`. A
-    /// certificate whose `raw` does not parse is not linted: the parse
-    /// error comes back instead.
-    pub fn run(&self, cert: &Certificate, opts: RunOptions) -> unicert_asn1::Result<CertReport> {
-        let view = CertView::parse_der(&cert.raw)?;
+    /// The certificate is linted through the view parsed from `der`, as
+    /// the survey lints it; with [`RunOptions::evidence`] its findings
+    /// carry spans into `der`. DER that does not parse is not linted: the
+    /// parse error comes back instead.
+    pub fn run(&self, der: &[u8], opts: RunOptions) -> unicert_asn1::Result<CertReport> {
+        let view = CertView::parse_der(der)?;
         let ctx =
             if opts.evidence { LintContext::with_evidence(&view) } else { LintContext::from_view(&view) };
         Ok(self.run_ctx(&ctx, opts))

@@ -18,7 +18,7 @@
 //!     .subject_cn("h\u{0}st.example")     // NUL in CN: T1
 //!     .validity_days(DateTime::date(2024, 6, 1).unwrap(), 90)
 //!     .build_signed(&SimKey::from_seed("demo-ca"));
-//! let report = registry.run(&cert, RunOptions::default()).unwrap();
+//! let report = registry.run(&cert.raw, RunOptions::default()).unwrap();
 //! assert!(report.is_noncompliant());
 //! ```
 

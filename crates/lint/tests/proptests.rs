@@ -27,8 +27,8 @@ proptest! {
             .validity_days(DateTime::date(2024, 3, 1).unwrap(), 90)
             .build_signed(&SimKey::from_seed("prop-ca"));
         let reg = default_registry();
-        let _ = reg.run(&cert, RunOptions::default());
-        let _ = reg.run(&cert, RunOptions::ungated());
+        let _ = reg.run(&cert.raw, RunOptions::default());
+        let _ = reg.run(&cert.raw, RunOptions::ungated());
     }
 
     /// Date gating can only remove findings, never add them.
@@ -43,8 +43,8 @@ proptest! {
         }
         let cert = b.build_signed(&SimKey::from_seed("ca"));
         let reg = default_registry();
-        let gated = reg.run(&cert, RunOptions::default()).unwrap();
-        let ungated = reg.run(&cert, RunOptions::ungated()).unwrap();
+        let gated = reg.run(&cert.raw, RunOptions::default()).unwrap();
+        let ungated = reg.run(&cert.raw, RunOptions::ungated()).unwrap();
         prop_assert!(gated.findings.len() <= ungated.findings.len());
         for f in &gated.findings {
             prop_assert!(ungated.findings.contains(f));
@@ -64,7 +64,7 @@ proptest! {
         der[pos] = byte;
         if let Ok(mutated) = Certificate::parse_der(&der) {
             let reg = default_registry();
-            let _ = reg.run(&mutated, RunOptions::default());
+            let _ = reg.run(&mutated.raw, RunOptions::default());
         }
     }
 }

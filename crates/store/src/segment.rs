@@ -30,7 +30,7 @@
 use crate::{escape, fnv64, fnv64_extend, unescape, Corruption};
 use unicert_asn1::{DateTime, ParseBudget};
 use unicert_corpus::{CertMeta, CorpusEntry, RawEntry, TrustStatus};
-use unicert_x509::{CertView, Certificate};
+use unicert_x509::{CertDer, CertView};
 
 /// The exact header line every version-1 segment file starts with.
 pub const SEGMENT_HEADER: &str = "unicert-store segment v1\n";
@@ -101,7 +101,9 @@ fn take_u32(data: &[u8], pos: &mut usize) -> Option<u32> {
     ]))
 }
 
-/// Decode and fully validate one segment file against its manifest row.
+/// Decode and fully validate one segment file against its manifest row:
+/// [`decode_segment_records`] with each record's DER copied out of
+/// `data`, so the entries outlive the read buffer.
 ///
 /// `expected_bytes`/`expected_fingerprint` come from the manifest; pass
 /// `None` when rebuilding a manifest (the self-trailer still validates the
@@ -113,22 +115,17 @@ pub fn decode_segment(
     expected_bytes: Option<u64>,
     expected_fingerprint: Option<u64>,
 ) -> Result<Vec<CorpusEntry>, Corruption> {
-    let budget = ParseBudget::default();
-    let records =
-        decode_segment_with(data, expected_index, expected_bytes, expected_fingerprint, |der| {
-            Certificate::parse_der_budgeted(der, &budget)
-        })?;
-    Ok(records.into_iter().map(|(cert, meta)| CorpusEntry { cert, meta }).collect())
+    let records = decode_segment_records(data, expected_index, expected_bytes, expected_fingerprint)?;
+    Ok(records
+        .into_iter()
+        .map(|RawEntry { der, meta }| CorpusEntry { cert: CertDer { raw: der.to_vec() }, meta })
+        .collect())
 }
 
-/// Zero-copy twin of [`decode_segment`]: the same validation, in the same
+/// Zero-copy form of [`decode_segment`]: the same validation, in the same
 /// classification priority order — including the per-record proof that
-/// every certificate parses — but the returned records *borrow* their DER
-/// from `data` instead of copying it into an owned [`Certificate`].
-///
-/// The parse proof runs through [`CertView`], the same parse the owned
-/// [`Certificate`] decode runs before copying, so a segment classifies
-/// exactly the same through either function. This is the
+/// every certificate parses as a [`CertView`] under the default budget —
+/// but the returned records *borrow* their DER from `data`. This is the
 /// decoder of `CorpusStore::with_shard_records`, and the full validator
 /// the survey resume path falls back to when a record fails to parse.
 pub fn decode_segment_records<'a>(
@@ -138,14 +135,11 @@ pub fn decode_segment_records<'a>(
     expected_fingerprint: Option<u64>,
 ) -> Result<Vec<RawEntry<'a>>, Corruption> {
     let budget = ParseBudget::default();
-    let records =
-        decode_segment_with(data, expected_index, expected_bytes, expected_fingerprint, |der| {
-            // The view only has to exist long enough to prove the record
-            // parses; what the caller keeps is the borrowed DER itself.
-            let state = budget.start();
-            CertView::parse_der_budgeted(der, &state).map(|_| der)
-        })?;
-    Ok(records.into_iter().map(|(der, meta)| RawEntry { der, meta }).collect())
+    decode_segment_with(data, expected_index, expected_bytes, expected_fingerprint, |der| {
+        // The view only has to exist long enough to prove the record
+        // parses; what the caller keeps is the borrowed DER itself.
+        CertView::parse_der_budgeted(der, &budget.start()).map(|_| ())
+    })
 }
 
 /// [`decode_segment_records`] without the per-record parse proof: the
@@ -163,23 +157,20 @@ pub(crate) fn decode_segment_frames<'a>(
     expected_bytes: Option<u64>,
     expected_fingerprint: Option<u64>,
 ) -> Result<Vec<RawEntry<'a>>, Corruption> {
-    let records =
-        decode_segment_with(data, expected_index, expected_bytes, expected_fingerprint, Ok)?;
-    Ok(records.into_iter().map(|(der, meta)| RawEntry { der, meta }).collect())
+    decode_segment_with(data, expected_index, expected_bytes, expected_fingerprint, |_| Ok(()))
 }
 
-/// The shared validation core of [`decode_segment`],
-/// [`decode_segment_records`] and [`decode_segment_frames`]: runs checks
-/// 1–6 in the fixed classification priority order, delegating only the
-/// per-record certificate proof to `parse_cert` so the decoders cannot
-/// drift.
-fn decode_segment_with<'a, T>(
+/// The shared validation core of [`decode_segment_records`] and
+/// [`decode_segment_frames`]: runs checks 1–6 in the fixed classification
+/// priority order, delegating only the per-record certificate proof to
+/// `check_cert` so the decoders cannot drift.
+fn decode_segment_with<'a>(
     data: &'a [u8],
     expected_index: usize,
     expected_bytes: Option<u64>,
     expected_fingerprint: Option<u64>,
-    mut parse_cert: impl FnMut(&'a [u8]) -> Result<T, unicert_asn1::Error>,
-) -> Result<Vec<(T, CertMeta)>, Corruption> {
+    mut check_cert: impl FnMut(&[u8]) -> Result<(), unicert_asn1::Error>,
+) -> Result<Vec<RawEntry<'a>>, Corruption> {
     let header_len = SEGMENT_HEADER.len();
     // 1. Gross framing: header + index + count + trailer minimum.
     if data.len() < header_len + 4 + 4 + 8 {
@@ -276,7 +267,7 @@ fn decode_segment_with<'a, T>(
         let Some(meta_bytes) = take(body, &mut pos, meta_len as usize) else {
             return Err(frame_err());
         };
-        let cert = parse_cert(der).map_err(|e| {
+        check_cert(der).map_err(|e| {
             Corruption::FingerprintMismatch(format!(
                 "record {record}: certificate does not parse ({})",
                 e.class()
@@ -288,7 +279,7 @@ fn decode_segment_with<'a, T>(
         let meta = decode_meta(meta_text).map_err(|detail| {
             Corruption::FingerprintMismatch(format!("record {record}: {detail}"))
         })?;
-        entries.push((cert, meta));
+        entries.push(RawEntry { der, meta });
     }
     if pos != body_len {
         return Err(Corruption::FingerprintMismatch(format!(
@@ -514,8 +505,9 @@ mod tests {
         }
     }
 
-    /// A certificate decoded from a segment holds its DER once: its
-    /// `raw_tbs()` is the TBS element of its `raw`.
+    /// An entry decoded from a segment is the DER that was written, and
+    /// the model parsed out of it reads its TBS out of that DER: its
+    /// `raw_tbs()` is the TBS element of `raw`.
     #[test]
     fn decoded_certificates_read_the_tbs_out_of_raw() {
         let original = entries(2_500);
@@ -523,10 +515,65 @@ mod tests {
         let decoded = decode_segment(&bytes, 0, None, None).unwrap();
         assert!(decoded.iter().any(|e| e.meta.is_precert), "the shard holds precertificates");
         for (d, o) in decoded.iter().zip(&original) {
+            assert_eq!(d.cert, o.cert);
+            let cert = d.cert.parse().unwrap();
             let tbs = unicert_asn1::reader::parse_single(&d.cert.raw).unwrap().contents().read_tlv();
-            assert_eq!(d.cert.raw_tbs(), tbs.unwrap().raw);
-            assert_eq!(d.cert.raw_tbs(), o.cert.raw_tbs());
+            assert_eq!(cert.raw_tbs(), tbs.unwrap().raw);
+            assert_eq!(cert.raw, d.cert.raw);
         }
+    }
+
+    /// On every committed store vector, clean or corrupt, `decode_segment`
+    /// is `decode_segment_records` with each DER copied: the same entries,
+    /// or the same [`Corruption`].
+    #[test]
+    fn decode_segment_is_the_records_decoder_copied_on_every_vector() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/vectors/store");
+        let clean = std::fs::read(root.join("clean").join(crate::manifest::MANIFEST_FILE)).unwrap();
+        let manifest = crate::Manifest::parse(&clean).unwrap();
+        let mut classes = std::collections::BTreeSet::new();
+        let mut dirs: Vec<_> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.is_dir())
+            .collect();
+        dirs.sort();
+        assert_eq!(dirs.len(), 5, "{dirs:?}");
+        for dir in &dirs {
+            for shard in &manifest.shards {
+                let data = std::fs::read(dir.join(&shard.file)).unwrap();
+                let rows = [(None, None), (Some(shard.bytes), Some(shard.fingerprint))];
+                for (bytes, fingerprint) in rows {
+                    let case = format!("{}/{} {bytes:?} {fingerprint:?}", dir.display(), shard.file);
+                    let owned = decode_segment(&data, shard.index, bytes, fingerprint);
+                    let copied = decode_segment_records(&data, shard.index, bytes, fingerprint)
+                        .map(|records| {
+                            records
+                                .into_iter()
+                                .map(|r| (r.der.to_vec(), r.meta))
+                                .collect::<Vec<_>>()
+                        });
+                    match (owned, copied) {
+                        (Ok(owned), Ok(copied)) => {
+                            assert_eq!(owned.len(), shard.count, "{case}");
+                            assert_eq!(owned.len(), copied.len(), "{case}");
+                            for (o, (der, meta)) in owned.iter().zip(&copied) {
+                                assert_eq!(o.cert.raw, *der, "{case}");
+                                assert_eq!(format!("{:?}", o.meta), format!("{meta:?}"), "{case}");
+                            }
+                            classes.insert("ok");
+                        }
+                        (Err(owned), Err(copied)) => {
+                            assert_eq!(owned, copied, "{case}");
+                            classes.insert(owned.class());
+                        }
+                        (owned, copied) => panic!("{case}: {owned:?} vs {copied:?}"),
+                    }
+                }
+            }
+        }
+        let expected = ["fingerprint_mismatch", "ok", "torn_write", "version_skew"];
+        assert_eq!(classes.into_iter().collect::<Vec<_>>(), expected);
     }
 
     /// Decoding each committed clean vector segment and encoding it again

@@ -21,7 +21,9 @@ use unicert_asn1::{BitString, DateTime, Oid, StringKind};
 pub struct CertificateBuilder {
     serial: Vec<u8>,
     subject: DistinguishedName,
-    issuer: DistinguishedName,
+    /// `None` until set: [`default_issuer`] is built only for a
+    /// certificate that keeps it.
+    issuer: Option<DistinguishedName>,
     validity: Validity,
     san: Vec<GeneralName>,
     extensions: Vec<Extension>,
@@ -39,11 +41,7 @@ impl CertificateBuilder {
         CertificateBuilder {
             serial: vec![0x01],
             subject: DistinguishedName::empty(),
-            issuer: DistinguishedName::from_attributes(&[
-                (known::country_name(), StringKind::Printable, "US"),
-                (known::organization_name(), StringKind::Utf8, "Unicert Test CA"),
-                (known::common_name(), StringKind::Utf8, "Unicert Test CA R1"),
-            ]),
+            issuer: None,
             validity: Validity::days(
                 DateTime::date(2024, 1, 1).expect("static date"), // analysis:allow(expect) compile-time constant date is valid
                 90,
@@ -100,16 +98,16 @@ impl CertificateBuilder {
 
     /// Replace the issuer DN.
     pub fn issuer(mut self, dn: DistinguishedName) -> Self {
-        self.issuer = dn;
+        self.issuer = Some(dn);
         self
     }
 
     /// Shorthand: set the issuer to `O=<org>, CN=<org> R1`.
     pub fn issuer_org(mut self, org: &str) -> Self {
-        self.issuer = DistinguishedName::from_attributes(&[
+        self.issuer = Some(DistinguishedName::from_attributes(&[
             (known::organization_name(), StringKind::Utf8, org),
             (known::common_name(), StringKind::Utf8, &format!("{org} R1")),
-        ]);
+        ]));
         self
     }
 
@@ -149,19 +147,20 @@ impl CertificateBuilder {
         self
     }
 
-    /// Assemble the TBS (without signing).
-    pub fn build_tbs(&self, key: &SimKey) -> TbsCertificate {
-        let mut extensions = self.extensions.clone();
+    /// Assemble the TBS (without signing), moving the builder's fields
+    /// into it.
+    pub fn build_tbs(self, key: &SimKey) -> TbsCertificate {
+        let mut extensions = self.extensions;
         if !self.san.is_empty() {
             extensions.insert(0, extensions::subject_alt_name(&self.san));
         }
         TbsCertificate {
             version: 2,
-            serial: self.serial.clone(),
+            serial: self.serial,
             signature_algorithm: AlgorithmIdentifier::sim_signature(),
-            issuer: self.issuer.clone(),
-            validity: self.validity.clone(),
-            subject: self.subject.clone(),
+            issuer: self.issuer.unwrap_or_else(default_issuer),
+            validity: self.validity,
+            subject: self.subject,
             spki: SubjectPublicKeyInfo {
                 algorithm: AlgorithmIdentifier::sim_public_key(),
                 public_key: BitString::from_bytes(&key.public_bytes()),
@@ -172,10 +171,20 @@ impl CertificateBuilder {
 
     /// Build and sign with the issuer's key. The subject's simulated key is
     /// derived from the subject DER (deterministic corpora).
-    pub fn build_signed(&self, issuer_key: &SimKey) -> Certificate {
+    pub fn build_signed(self, issuer_key: &SimKey) -> Certificate {
         let subject_key = SimKey::from_seed(&subject_seed(&self.subject.to_der()));
         Certificate::sign(self.build_tbs(&subject_key), issuer_key)
     }
+}
+
+/// The issuer of a builder whose issuer was never set:
+/// `C=US, O=Unicert Test CA, CN=Unicert Test CA R1`.
+fn default_issuer() -> DistinguishedName {
+    DistinguishedName::from_attributes(&[
+        (known::country_name(), StringKind::Printable, "US"),
+        (known::organization_name(), StringKind::Utf8, "Unicert Test CA"),
+        (known::common_name(), StringKind::Utf8, "Unicert Test CA R1"),
+    ])
 }
 
 /// The subject-key seed: `subject:` followed by the subject DER as
@@ -229,6 +238,30 @@ mod tests {
         assert_eq!(org.bytes, b"Evil\x00Org");
         let cn = parsed.tbs.subject.first_value(&known::common_name()).unwrap();
         assert_eq!(cn.kind(), Some(StringKind::Bmp));
+    }
+
+    #[test]
+    fn default_issuer_is_built_only_when_none_is_set() {
+        let key = SimKey::from_seed("ca");
+        let unset = CertificateBuilder::new().subject_cn("a.example").build_signed(&key);
+        // C=US (PrintableString), O=Unicert Test CA, CN=Unicert Test CA R1
+        // (UTF8String), one attribute per RDN.
+        let mut expected = vec![0x30, 0x44, 0x31, 0x0b, 0x30, 0x09, 0x06, 0x03, 0x55, 0x04, 0x06];
+        expected.extend_from_slice(&[0x13, 0x02]);
+        expected.extend_from_slice(b"US");
+        expected.extend_from_slice(&[0x31, 0x18, 0x30, 0x16, 0x06, 0x03, 0x55, 0x04, 0x0a, 0x0c, 0x0f]);
+        expected.extend_from_slice(b"Unicert Test CA");
+        expected.extend_from_slice(&[0x31, 0x1b, 0x30, 0x19, 0x06, 0x03, 0x55, 0x04, 0x03, 0x0c, 0x12]);
+        expected.extend_from_slice(b"Unicert Test CA R1");
+        assert_eq!(unset.tbs.issuer.to_der(), expected);
+        assert_eq!(unset.tbs.issuer, default_issuer());
+
+        let set = CertificateBuilder::new()
+            .subject_cn("a.example")
+            .issuer_org("Other CA")
+            .build_signed(&key);
+        assert_eq!(set.tbs.issuer.organization().as_deref(), Some("Other CA"));
+        assert_eq!(set.tbs.issuer.rdns.len(), 2);
     }
 
     #[test]

@@ -130,6 +130,29 @@ pub struct Certificate {
     pub(crate) tbs_span: Span,
 }
 
+/// A certificate held as its DER alone: the form a corpus keeps, with the
+/// owned model one [`CertDer::parse`] away.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CertDer {
+    /// Raw DER of the complete certificate.
+    pub raw: Vec<u8>,
+}
+
+impl CertDer {
+    /// Parse the owned model out of `raw` ([`Certificate::parse_der`]).
+    pub fn parse(&self) -> Result<Certificate> {
+        Certificate::parse_der(&self.raw)
+    }
+}
+
+/// Keep a certificate's DER and drop its model; `raw` moves, nothing is
+/// copied.
+impl From<Certificate> for CertDer {
+    fn from(cert: Certificate) -> CertDer {
+        CertDer { raw: cert.raw }
+    }
+}
+
 impl TbsCertificate {
     /// Encode to DER.
     pub fn to_der(&self) -> Vec<u8> {

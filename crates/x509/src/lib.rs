@@ -25,7 +25,7 @@ pub mod value;
 pub mod view;
 
 pub use builder::CertificateBuilder;
-pub use certificate::{AlgorithmIdentifier, Certificate, TbsCertificate, Validity};
+pub use certificate::{AlgorithmIdentifier, CertDer, Certificate, TbsCertificate, Validity};
 pub use chain::{ChainError, TrustStore};
 pub use crl::CertificateList;
 pub use display::EscapingStandard;

@@ -16,8 +16,9 @@
 //!   [`DistinguishedName::parse`] are this parse followed by `to_owned`,
 //!   so the two representations accept, reject and charge a
 //!   [`ParseBudget`] identically by construction;
-//! * the lints: an owned certificate is linted through the view parsed
-//!   from its [`Certificate::raw`], so every view is a parse;
+//! * the lints: a certificate is linted through the view parsed from its
+//!   DER (a store record, a corpus entry's [`CertDer::raw`] or a
+//!   [`Certificate::raw`]), so every view is a parse;
 //! * evidence spans: every slice of a view borrows the input, so a
 //!   field's byte range is where its slice sits in [`CertView::raw`]
 //!   ([`Span::within`]). A DN attribute also records its value's header
@@ -34,6 +35,8 @@ use unicert_asn1::tag::{tags, Class, Tag};
 use unicert_asn1::{
     BitString, BudgetState, DateTime, Error, Oid, Reader, Result, Span, TimeKind,
 };
+#[cfg(doc)]
+use crate::CertDer;
 #[cfg(doc)]
 use unicert_asn1::ParseBudget;
 

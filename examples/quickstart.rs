@@ -42,7 +42,7 @@ fn main() {
         let parsed = Certificate::parse_der(&cert.raw).expect("well-formed DER");
         assert!(ca.verify(parsed.raw_tbs(), &parsed.signature.bytes));
 
-        let report = registry.run(&parsed, RunOptions::default()).unwrap();
+        let report = registry.run(&parsed.raw, RunOptions::default()).unwrap();
         println!("── {label} certificate ──");
         println!("  subject: {}", unicert::x509::display::dn_to_string(
             &parsed.tbs.subject,

@@ -11,10 +11,11 @@
 //! their `raw`), count every `alloc`, `alloc_zeroed` and `realloc` the
 //! surveying thread makes, and fail above [`MAX_ALLOCS_PER_CERT`].
 //!
-//! A third case counts the live heap bytes the 20k generated entries hold
-//! (what a corpus held in memory costs per certificate, the deterministic
-//! side of perfbench's `peak_rss_mb`) and fails above
-//! [`MAX_HELD_BYTES_PER_ENTRY`].
+//! A third case counts the heap allocations the generator makes per entry
+//! and fails above [`MAX_GENERATION_ALLOCS_PER_ENTRY`], then counts the
+//! live heap bytes the 20k generated entries hold (what a corpus held in
+//! memory costs per certificate, the deterministic side of perfbench's
+//! `peak_rss_mb`) and fails above [`MAX_HELD_BYTES_PER_ENTRY`].
 //!
 //! The counting [`GlobalAlloc`] below is the workspace's single audited
 //! `unsafe`: every library crate root keeps `#![forbid(unsafe_code)]`,
@@ -34,8 +35,13 @@ use unicert::survey::{self, SurveyInput, SurveyOptions};
 /// The survey gate: heap allocations per surveyed certificate.
 const MAX_ALLOCS_PER_CERT: f64 = 23.0;
 
-/// The holding gate: live heap bytes per generated entry.
-const MAX_HELD_BYTES_PER_ENTRY: f64 = 1_967.0;
+/// The generation gate: heap allocations per generated entry (measured
+/// 57.19).
+const MAX_GENERATION_ALLOCS_PER_ENTRY: f64 = 57.2;
+
+/// The holding gate: live heap bytes per generated entry, its DER and
+/// metadata and its slot in the `Vec` (measured 504.32).
+const MAX_HELD_BYTES_PER_ENTRY: f64 = 504.4;
 
 /// The report fingerprint of the 20k/seed-42 survey.
 const FINGERPRINT: &str = "b2b8abe091d4b8ec";
@@ -151,8 +157,9 @@ fn serial_corpus_entry_survey_stays_within_the_allocation_budget() {
     assert_serial_survey_within_budget("entries", &corpus());
 }
 
-/// Live heap bytes the generated entries hold: everything their drop
-/// frees, the `Vec` that holds them included, per entry.
+/// Allocations per generated entry, and the live heap bytes the generated
+/// entries hold: everything their drop frees, the `Vec` that holds them
+/// included, per entry.
 #[test]
 fn generated_entries_hold_at_most_the_byte_budget() {
     let start = allocs_so_far();
@@ -160,6 +167,10 @@ fn generated_entries_hold_at_most_the_byte_budget() {
     let count = entries.len();
     let generated = (allocs_so_far() - start) as f64 / count as f64;
     println!("corpus generator: {generated:.2} heap allocations per generated entry");
+    assert!(
+        generated <= MAX_GENERATION_ALLOCS_PER_ENTRY,
+        "{generated:.2} heap allocations per generated entry, budget {MAX_GENERATION_ALLOCS_PER_ENTRY}"
+    );
     let before = live_bytes();
     drop(entries);
     let held = before - live_bytes();

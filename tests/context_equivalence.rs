@@ -277,7 +277,7 @@ fn assert_context_matches_direct(cert: &Certificate) {
 fn assert_registry_runs_identically(cert: &Certificate) {
     let reg = default_registry();
     for opts in [RunOptions::default(), RunOptions::ungated()] {
-        let direct = reg.run(cert, opts).unwrap();
+        let direct = reg.run(&cert.raw, opts).unwrap();
         let view = CertView::parse_der(&cert.raw).unwrap();
         let ctx = LintContext::from_view(&view);
         // Pre-warm in an order no lint uses; memoization must be inert.
@@ -417,7 +417,7 @@ fn single_pass_label_info_matches_the_reference() {
     let mut labels = BTreeSet::new();
     let config = CorpusConfig { size: 20_000, seed: 42, precert_fraction: 0.0, latent_defects: true };
     for entry in CorpusGenerator::new(config) {
-        ace_labels_of(&entry.cert, &mut labels);
+        ace_labels_of(&entry.cert.parse().unwrap(), &mut labels);
     }
     let corpus_labels = labels.len();
     assert!(corpus_labels > 0, "the corpus carries ACE labels");
@@ -453,8 +453,9 @@ fn corpus_sweep_context_equivalence() {
     let reg = default_registry();
     let opts = RunOptions::default();
     for entry in CorpusGenerator::new(config) {
-        assert_context_matches_direct(&entry.cert);
-        let direct = reg.run(&entry.cert, opts).unwrap();
+        let cert = entry.cert.parse().unwrap();
+        assert_context_matches_direct(&cert);
+        let direct = reg.run(&entry.cert.raw, opts).unwrap();
         let view = CertView::parse_der(&entry.cert.raw).unwrap();
         let ctx = LintContext::from_view(&view);
         let _ = ctx.san();
@@ -462,7 +463,7 @@ fn corpus_sweep_context_equivalence() {
         assert_eq!(
             direct.findings, via_ctx.findings,
             "serial {:?}: run vs run_ctx diverged",
-            entry.cert.tbs.serial
+            cert.tbs.serial
         );
     }
 }

@@ -147,7 +147,7 @@ fn section_5_1_impact_chain_reconstruction() {
     let mut encoding_errors = 0;
     let mut trusted_verified = 0;
     for e in &entries {
-        let rep = registry.run(&e.cert, RunOptions::default()).unwrap();
+        let rep = registry.run(&e.cert.raw, RunOptions::default()).unwrap();
         if rep
             .findings
             .iter()
@@ -155,7 +155,8 @@ fn section_5_1_impact_chain_reconstruction() {
         {
             encoding_errors += 1;
             let issuer_key = SimKey::from_seed(&e.meta.issuer_org);
-            if issuer_key.verify(e.cert.raw_tbs(), &e.cert.signature.bytes)
+            let cert = e.cert.parse().unwrap();
+            if issuer_key.verify(cert.raw_tbs(), &cert.signature.bytes)
                 && e.meta.trust == TrustStatus::Public
             {
                 trusted_verified += 1;

@@ -71,7 +71,7 @@ fn every_lint_has_a_golden_vector() {
                 continue;
             }
             let cert = load_cert(&path);
-            let report = registry.run(&cert, RunOptions::default()).unwrap();
+            let report = registry.run(&cert.raw, RunOptions::default()).unwrap();
             let got: Vec<String> = report.findings.iter().map(finding_key).collect();
             assert_eq!(
                 got, manifest[lint.name],
@@ -102,7 +102,7 @@ fn clean_control_has_zero_findings() {
     for profile in profiles::all() {
         let registry = profiles::registry(profile.name).expect("registered profile");
         let cert = load_cert(&vectors_dir(profile.name).join("clean_control.der"));
-        let report = registry.run(&cert, RunOptions::default()).unwrap();
+        let report = registry.run(&cert.raw, RunOptions::default()).unwrap();
         assert!(
             report.findings.is_empty(),
             "{}: control cert dirty: {:?}",

@@ -59,11 +59,11 @@ fn ground_truth_detection_has_no_false_negatives() {
     let registry = unicert::corpus::lint_registry();
     let mut checked = 0;
     for entry in CorpusGenerator::new(CorpusConfig { size: 3_000, ..config(3_000) }) {
-        if entry.cert.tbs.is_precertificate() {
+        if entry.cert.parse().unwrap().tbs.is_precertificate() {
             continue;
         }
         if let (Some(defect), false) = (entry.meta.injected, entry.meta.latent) {
-            let report = registry.run(&entry.cert, RunOptions::default()).unwrap();
+            let report = registry.run(&entry.cert.raw, RunOptions::default()).unwrap();
             assert!(
                 report.findings.iter().any(|f| f.lint == defect.expected_lint()),
                 "{defect:?} missed"

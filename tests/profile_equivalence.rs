@@ -91,10 +91,10 @@ fn unknown_profile_falls_back_to_default() {
 /// comparison across profiles.
 fn finding_for(
     registry: &unicert::lint::Registry,
-    cert: &unicert::x509::Certificate,
+    der: &[u8],
     lint: &str,
 ) -> Option<String> {
-    let report = registry.run(cert, RunOptions::default()).unwrap();
+    let report = registry.run(der, RunOptions::default()).unwrap();
     report
         .findings
         .iter()
@@ -118,16 +118,16 @@ proptest! {
             .collect();
         prop_assert!(!shared.is_empty(), "profiles share no lints — parity test is vacuous");
 
-        let mut certs: Vec<unicert::x509::Certificate> = CorpusGenerator::new(CorpusConfig {
+        let mut certs: Vec<Vec<u8>> = CorpusGenerator::new(CorpusConfig {
             size: 8,
             seed,
             ..CorpusConfig::default()
         })
-        .map(|e| e.cert)
+        .map(|e| e.cert.raw)
         .collect();
         certs.extend(
             BimiGenerator::new(BimiConfig { size: 8, seed, ..BimiConfig::default() })
-                .map(|e| e.cert),
+                .map(|e| e.cert.raw),
         );
 
         for cert in &certs {

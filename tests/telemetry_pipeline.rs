@@ -129,7 +129,7 @@ fn one_off_runs_sample_latency_on_the_global_sequence() {
     telemetry::set_metrics_sample(16);
     telemetry::set_metrics_enabled(true);
     let before = telemetry::global().snapshot();
-    let reports: Vec<_> = corpus.iter().map(|entry| registry.run(&entry.cert, opts).unwrap()).collect();
+    let reports: Vec<_> = corpus.iter().map(|entry| registry.run(&entry.cert.raw, opts).unwrap()).collect();
     let after = telemetry::global().snapshot();
     telemetry::set_metrics_enabled(false);
     telemetry::set_metrics_sample(saved_sample);

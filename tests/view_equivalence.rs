@@ -8,8 +8,9 @@
 //!
 //! - **round trip**: on a fixed-seed 10 000-certificate corpus (the survey
 //!   benchmark's generator, latent defects on, precertificates included)
-//!   the view parsed from each certificate's DER copies back into exactly
-//!   the certificate the builder made; every golden vector
+//!   the view parsed from each entry's DER copies back into a certificate
+//!   that re-encodes to that DER and equals its own TBS signed again, as
+//!   the builder made it; every golden vector
 //!   (`tests/vectors/webpki` + `tests/vectors/bimi`) re-encodes from its
 //!   owned parse to its own bytes;
 //! - **one DER copy**: `raw_tbs()` is the TBS element of `raw` for every
@@ -77,7 +78,12 @@ fn seeded_10k_corpus_views_match_owned() {
         let state = ParseBudget::default().start();
         let view = CertView::parse_der_budgeted(&entry.cert.raw, &state)
             .unwrap_or_else(|e| panic!("corpus[{i}]: generated certificate rejected ({e:?})"));
-        assert_eq!(view.to_owned(), entry.cert, "corpus[{i}]: round trip");
+        let owned = view.to_owned();
+        assert_eq!(owned.to_der(), entry.cert.raw, "corpus[{i}]: round trip");
+        // The builder signs its TBS with the issuer's key: signing the
+        // decoded TBS again rebuilds exactly the certificate it made.
+        let key = SimKey::from_seed(&entry.meta.issuer_org);
+        assert_eq!(Certificate::sign(owned.tbs.clone(), &key), owned, "corpus[{i}]: the built model");
         checked += 1;
     }
     // Precertificate pairs can push the stream slightly past `size`.
@@ -91,19 +97,20 @@ fn tbs_element(der: &[u8]) -> &[u8] {
     outer.contents().read_tlv().expect("a TBS element").raw
 }
 
-/// `raw_tbs()` is a range of `raw`, the one stored copy of the DER: for a
-/// signed leaf, a precertificate twin and the `parse_der` of each on the
-/// 20k/seed-42 corpus, for every golden vector, and for a built and a
-/// parsed CRL.
+/// `raw_tbs()` is a range of `raw`, the one stored copy of the DER: for
+/// the `parse_der` of every leaf and precertificate twin of the
+/// 20k/seed-42 corpus and for each one's TBS signed again, for every
+/// golden vector, and for a built and a parsed CRL.
 #[test]
 fn raw_tbs_is_the_tbs_element_of_raw_for_every_constructor() {
     let config = CorpusConfig { size: 20_000, ..corpus_config() };
     let (mut leaves, mut twins) = (0usize, 0usize);
     for (i, entry) in CorpusGenerator::new(config).enumerate() {
-        let cert = &entry.cert;
-        assert_eq!(cert.raw_tbs(), tbs_element(&cert.raw), "corpus[{i}]: signed");
-        let parsed = Certificate::parse_der(&cert.raw).expect("generated DER parses");
+        let parsed = entry.cert.parse().expect("generated DER parses");
         assert_eq!(parsed.raw_tbs(), tbs_element(&parsed.raw), "corpus[{i}]: parse_der");
+        let signed = Certificate::sign(parsed.tbs, &SimKey::from_seed(&entry.meta.issuer_org));
+        assert_eq!(signed.raw, entry.cert.raw, "corpus[{i}]: signed again");
+        assert_eq!(signed.raw_tbs(), tbs_element(&signed.raw), "corpus[{i}]: signed");
         if entry.meta.is_precert {
             twins += 1;
         } else {
